@@ -7,7 +7,7 @@
 // resolves names back to CmQuery views before forwarding into the
 // dispatcher. Because resolution is pointer-stable, repeated requests for
 // one name hit every layer of plan caching (batch dedup, cross-batch
-// PlanCache) exactly like pointer-identical queries always have.
+// serve::PlanCache) exactly like pointer-identical queries always have.
 //
 // Populate() wraps the Table 1 loss families (src/losses) so client code
 // can build realistic workloads through the api surface alone.

@@ -63,16 +63,14 @@ ServerEndpoint::ServerEndpoint(const data::Dataset* dataset,
   serve_options.registry = &registry_;
   service_ = std::make_unique<serve::PmwService>(
       dataset, oracle, options.mechanism, seed, serve_options);
+  service_->set_plan_cache(&plan_cache_);
   quota_ = std::make_unique<frontend::QuotaManager>(service_.get(),
                                                     options.quota);
-  if (options.enable_plan_cache) {
-    plan_cache_ = std::make_unique<frontend::PlanCache>();
-  }
   frontend::DispatcherOptions dispatcher_options = options.dispatcher;
   dispatcher_options.record_arrival_log = options.record_arrival_log;
   dispatcher_options.trace_recorder = traces_.get();
   dispatcher_ = std::make_unique<frontend::Dispatcher>(
-      service_.get(), quota_.get(), plan_cache_.get(), dispatcher_options);
+      service_.get(), quota_.get(), dispatcher_options);
 }
 
 ServerEndpoint::~ServerEndpoint() { Shutdown(); }

@@ -6,8 +6,8 @@
 //     batching, single-writer serve) --> AnswerEnvelope back out
 //
 // The endpoint owns the whole serving stack behind it: the ERM oracle,
-// the sharded serve::PmwService, the frontend::QuotaManager, the
-// epoch-keyed PlanCache, and the Dispatcher thread. Handle() is
+// the sharded serve::PmwService with its serve::PlanCache, the
+// frontend::QuotaManager, and the Dispatcher thread. Handle() is
 // thread-safe (any number of transports / connection handlers may call
 // it); everything stateful funnels through the dispatcher's MPSC queue,
 // which preserves the PR 2/3 transcript guarantee end to end — replaying
@@ -31,10 +31,10 @@
 #include "data/dataset.h"
 #include "erm/oracle.h"
 #include "frontend/dispatcher.h"
-#include "frontend/plan_cache.h"
 #include "frontend/quota_manager.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/plan_cache.h"
 #include "serve/pmw_service.h"
 
 namespace pmw {
@@ -61,7 +61,6 @@ struct ServerOptions {
   frontend::QuotaOptions quota;
   frontend::DispatcherOptions dispatcher;
   OracleKind oracle = OracleKind::kNoisyGradient;
-  bool enable_plan_cache = true;
   /// Record (analyst, client request id, query name) per committed
   /// request, in commit order — the replayable transcript log.
   bool record_arrival_log = false;
@@ -227,9 +226,10 @@ class ServerEndpoint {
   /// that publishes into it.
   std::unique_ptr<obs::TraceRecorder> traces_;
   std::unique_ptr<erm::Oracle> owned_oracle_;  // null when injected
+  /// Declared before service_, which holds a pointer to it.
+  serve::PlanCache plan_cache_;
   std::unique_ptr<serve::PmwService> service_;
   std::unique_ptr<frontend::QuotaManager> quota_;
-  std::unique_ptr<frontend::PlanCache> plan_cache_;  // null when disabled
   CodecCounters codec_counters_;
   mutable std::mutex arrivals_mutex_;
   std::unordered_map<uint64_t, ArrivalRecord> arrivals_;  // by dispatch id

@@ -33,16 +33,13 @@ std::string DispatcherStats::ToString() const {
 }
 
 Dispatcher::Dispatcher(serve::PmwService* service, QuotaManager* quota,
-                       PlanCache* plan_cache,
                        const DispatcherOptions& options)
     : service_(service),
       quota_(quota),
-      plan_cache_(plan_cache),
       options_(options),
       queue_(options.queue_capacity) {
   PMW_CHECK(service != nullptr);
   PMW_CHECK_GE(options.max_batch, size_t{1});
-  if (plan_cache_ != nullptr) service_->set_plan_cache(plan_cache_);
   // Frontend instruments live in the service's registry so one scrape
   // covers the whole stack; handles resolved once, here.
   obs::Registry& registry = service_->registry();
@@ -55,11 +52,6 @@ Dispatcher::Dispatcher(serve::PmwService* service, QuotaManager* quota,
   m_.deadline_expired =
       registry.GetCounter("pmw_frontend_deadline_expired_total");
   m_.batches = registry.GetCounter("pmw_frontend_batches_total");
-  m_.plan_evicted = registry.GetCounter("pmw_frontend_plan_evicted_total");
-  m_.plan_admission_rejected =
-      registry.GetCounter("pmw_frontend_plan_admission_rejected_total");
-  m_.plan_stale_dropped =
-      registry.GetCounter("pmw_frontend_plan_stale_dropped_total");
   m_.batch_fill = registry.GetHistogram(
       "pmw_frontend_batch_fill", obs::Histogram::LogBuckets(1.0, 2.0, 12));
   // 1us .. ~8.4s in x2 steps: queue waits and batch serve times.
@@ -253,7 +245,6 @@ void Dispatcher::DispatchLoop() {
       }
     }
     m_.batches->Add(1);
-    PublishPlanCacheMetrics();
     m_.batch_fill->Observe(static_cast<double>(live.size()));
     for (uint64_t wait_us : queue_waits_us) {
       m_.queue_wait_us->Observe(static_cast<double>(wait_us));
@@ -304,28 +295,11 @@ void Dispatcher::DispatchLoop() {
   }
 }
 
-void Dispatcher::PublishPlanCacheMetrics() {
-  if (plan_cache_ == nullptr) return;
-  const serve::PlanCacheCounters totals = plan_cache_->Counters();
-  m_.plan_evicted->Add(totals.evicted - published_plan_counters_.evicted);
-  m_.plan_admission_rejected->Add(totals.admission_rejected -
-                                  published_plan_counters_.admission_rejected);
-  m_.plan_stale_dropped->Add(totals.stale_dropped -
-                             published_plan_counters_.stale_dropped);
-  published_plan_counters_ = totals;
-}
-
 void Dispatcher::Shutdown() {
   std::lock_guard<std::mutex> lock(shutdown_mutex_);
   shutdown_.store(true, std::memory_order_release);
   queue_.Close();
   if (dispatcher_.joinable()) dispatcher_.join();
-  // Final flush after the join: the loop may have exited between serving
-  // a batch and the cache's last mutation being published.
-  PublishPlanCacheMetrics();
-  if (plan_cache_ != nullptr && service_->plan_cache() == plan_cache_) {
-    service_->set_plan_cache(nullptr);
-  }
 }
 
 std::vector<uint64_t> Dispatcher::ArrivalLog() const {

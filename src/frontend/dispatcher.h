@@ -23,9 +23,7 @@
 //
 // Admission control happens in Submit, before the queue: a
 // QuotaManager rejection resolves the future immediately with a typed
-// error and costs zero privacy budget. A PlanCache attached at
-// construction extends plan reuse across batches (epoch-keyed; see
-// frontend/plan_cache.h).
+// error and costs zero privacy budget.
 
 #ifndef PMWCM_FRONTEND_DISPATCHER_H_
 #define PMWCM_FRONTEND_DISPATCHER_H_
@@ -43,7 +41,6 @@
 #include "common/result.h"
 #include "common/stats.h"
 #include "convex/cm_query.h"
-#include "frontend/plan_cache.h"
 #include "frontend/quota_manager.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -135,11 +132,10 @@ class Dispatcher {
  public:
   /// `service` must outlive the dispatcher and must not be driven by
   /// anyone else while the dispatcher runs (it is the single writer).
-  /// `quota` and `plan_cache` are optional (null disables the feature)
-  /// and not owned; `plan_cache` is attached to the service here and
-  /// detached on Shutdown. The dispatcher thread starts immediately.
+  /// `quota` is optional (null disables admission control) and not
+  /// owned. The dispatcher thread starts immediately.
   Dispatcher(serve::PmwService* service, QuotaManager* quota,
-             PlanCache* plan_cache, const DispatcherOptions& options = {});
+             const DispatcherOptions& options = {});
 
   /// Shutdown().
   ~Dispatcher();
@@ -162,9 +158,8 @@ class Dispatcher {
       uint64_t* request_id = nullptr,
       std::chrono::steady_clock::time_point deadline = {});
 
-  /// Stops accepting work, serves everything already queued, joins the
-  /// dispatcher thread, and detaches the plan cache from the service.
-  /// Idempotent and safe to call from any thread.
+  /// Stops accepting work, serves everything already queued, and joins
+  /// the dispatcher thread. Idempotent and safe to call from any thread.
   void Shutdown();
 
   /// Ids of committed requests in commit (arrival) order. Complete only
@@ -199,23 +194,13 @@ class Dispatcher {
     obs::Counter* shutdown_rejected = nullptr;
     obs::Counter* deadline_expired = nullptr;
     obs::Counter* batches = nullptr;
-    obs::Counter* plan_evicted = nullptr;
-    obs::Counter* plan_admission_rejected = nullptr;
-    obs::Counter* plan_stale_dropped = nullptr;
     obs::Histogram* batch_fill = nullptr;
     obs::Histogram* queue_wait_us = nullptr;
     obs::Histogram* serve_us = nullptr;
   };
 
-  /// Mirrors the plan cache's replacement counters into the registry as
-  /// deltas (counters are monotonic; the cache owns the totals). Called
-  /// from the dispatch loop after each served batch and once more from
-  /// Shutdown after the loop joins.
-  void PublishPlanCacheMetrics();
-
   serve::PmwService* service_;
   QuotaManager* quota_;
-  PlanCache* plan_cache_;
   const DispatcherOptions options_;
   Instruments m_;
   MpscQueue<Request> queue_;
@@ -224,9 +209,6 @@ class Dispatcher {
   std::mutex shutdown_mutex_;  // serializes Shutdown callers
   mutable std::mutex stats_mutex_;
   DispatcherStats stats_;
-  /// Cache totals already published to the registry (dispatch-loop
-  /// local, read once more by Shutdown after the join).
-  serve::PlanCacheCounters published_plan_counters_;
   std::vector<uint64_t> arrival_log_;
   std::thread dispatcher_;  // last member: starts in the constructor
 };

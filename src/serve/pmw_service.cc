@@ -81,11 +81,8 @@ std::string ServeStats::Report() const {
   std::string report = ToString();
   report += "reprepared=" + std::to_string(reprepared) +
             " cross_batch_lookups=" +
-            std::to_string(cross_batch_cache_lookups) + "\n";
-  report += "plan_cache: evicted=" + std::to_string(plan_cache_evicted) +
-            " admission_rejected=" +
-            std::to_string(plan_cache_admission_rejected) +
-            " stale_dropped=" + std::to_string(plan_cache_stale_dropped) +
+            std::to_string(cross_batch_cache_lookups) +
+            " plan_stale_dropped=" + std::to_string(plan_cache_stale_dropped) +
             "\n";
   report += "batch latency ms: " + batch_latency_ms.Summary() + "\n";
   report += "batch queries/sec: " + batch_queries_per_sec.Summary();
@@ -148,6 +145,8 @@ PmwService::PmwService(const data::Dataset* dataset, erm::Oracle* oracle,
       registry_->GetCounter("pmw_serve_cross_batch_lookups_total");
   m_.cross_batch_cache_hits =
       registry_->GetCounter("pmw_serve_cross_batch_hits_total");
+  m_.plan_stale_dropped =
+      registry_->GetCounter("pmw_frontend_plan_stale_dropped_total");
   m_.threads = registry_->GetGauge("pmw_serve_threads");
   m_.shards = registry_->GetGauge("pmw_serve_shards");
   m_.mw_update_ms = registry_->GetGauge("pmw_serve_mw_update_ms");
@@ -200,12 +199,6 @@ ServeStats PmwService::stats_snapshot() const {
       reg.CounterValue("pmw_serve_cross_batch_lookups_total");
   s.cross_batch_cache_hits =
       reg.CounterValue("pmw_serve_cross_batch_hits_total");
-  // The frontend dispatcher publishes the plan cache's replacement
-  // counters into the same registry; zero when no dispatcher/cache runs.
-  s.plan_cache_evicted =
-      reg.CounterValue("pmw_frontend_plan_evicted_total");
-  s.plan_cache_admission_rejected =
-      reg.CounterValue("pmw_frontend_plan_admission_rejected_total");
   s.plan_cache_stale_dropped =
       reg.CounterValue("pmw_frontend_plan_stale_dropped_total");
   s.threads = static_cast<int>(reg.GaugeValue("pmw_serve_threads"));
@@ -253,22 +246,16 @@ std::shared_ptr<const Epoch> PmwService::PublishAndPrepare(
   const long long published = epochs_.epochs_published();
   m_.epochs->Add(published - stats_.epochs);
   stats_.epochs = published;
-  // Tell the cache where serving now is before any probe; entries whose
-  // content fingerprints no longer match are permanently stale and the
-  // cache drops them (lazily or here).
-  if (plan_cache_ != nullptr) {
-    plan_cache_->OnEpochPublish({epoch->snapshot->version,
-                                 epoch->shard_fingerprint,
-                                 epoch->content_fingerprint});
-  }
   *prepared = executor_.PrepareRange(queries, begin, end, *epoch,
                                      plan_cache_);
   stats_.prepare_cache_hits += prepared->cache_hits;
   stats_.cross_batch_cache_lookups += prepared->cross_batch_lookups;
   stats_.cross_batch_cache_hits += prepared->cross_batch_hits;
+  stats_.plan_cache_stale_dropped += prepared->cross_batch_stale;
   m_.prepare_cache_hits->Add(prepared->cache_hits);
   m_.cross_batch_cache_lookups->Add(prepared->cross_batch_lookups);
   m_.cross_batch_cache_hits->Add(prepared->cross_batch_hits);
+  m_.plan_stale_dropped->Add(prepared->cross_batch_stale);
   return epoch;
 }
 
@@ -446,14 +433,6 @@ std::vector<Result<convex::Vec>> PmwService::AnswerBatch(
   stats_.mw_updates = cm_.mw_timing().updates;
   m_.mw_update_ms->Set(stats_.mw_update_ms);
   m_.mw_updates->Set(static_cast<double>(stats_.mw_updates));
-  if (plan_cache_ != nullptr) {
-    // Replacement/staleness totals are owned by the cache; mirror them
-    // into the writer's stats once per batch (cheap: one virtual call).
-    const PlanCacheCounters counters = plan_cache_->Counters();
-    stats_.plan_cache_evicted = counters.evicted;
-    stats_.plan_cache_admission_rejected = counters.admission_rejected;
-    stats_.plan_cache_stale_dropped = counters.stale_dropped;
-  }
   return results;
 }
 

@@ -131,18 +131,13 @@ struct ServeStats {
   /// Distinct plans recomputed in parallel after a mid-batch epoch
   /// advance (repeats of an already-recomputed query are cache hits).
   long long reprepared = 0;
-  /// Cross-batch plan cache: distinct queries probed / served from a
-  /// PlanCacheHook (zero when no cache is attached). Unlike
-  /// prepare_cache_hits these survive between AnswerBatch calls — the
-  /// whole point of the front-end's epoch-keyed cache.
+  /// Cross-batch plan cache: distinct queries probed / served from the
+  /// attached PlanCache (zero when none is attached). Unlike
+  /// prepare_cache_hits these survive between AnswerBatch calls.
   long long cross_batch_cache_lookups = 0;
   long long cross_batch_cache_hits = 0;
-  /// How cross-batch cached plans died (PlanCacheHook::Counters; zeros
-  /// with no cache attached): replacement-policy evictions, admission
-  /// rejections (the new plan was never cached), and content-fingerprint
-  /// staleness drops. Totals, refreshed per batch.
-  long long plan_cache_evicted = 0;
-  long long plan_cache_admission_rejected = 0;
+  /// Cached plans dropped on probe because their content fingerprints
+  /// went stale.
   long long plan_cache_stale_dropped = 0;
   /// Worker threads serving shards (1 = inline).
   int threads = 1;
@@ -240,13 +235,11 @@ class PmwService {
   /// Convenience: a batch of one.
   Result<convex::Vec> Answer(const convex::CmQuery& query);
 
-  /// Attaches a cross-batch plan cache (not owned; may be null to
-  /// detach). The service probes it during every prepare phase and
-  /// notifies it of each epoch publish, extending the intra-batch dedup
-  /// across the whole request stream. Set from the serving thread while
-  /// no batch is in flight.
-  void set_plan_cache(PlanCacheHook* cache) { plan_cache_ = cache; }
-  PlanCacheHook* plan_cache() const { return plan_cache_; }
+  /// Attaches a cross-batch plan cache (not owned; must outlive the
+  /// service's last batch). The service probes it during every prepare
+  /// phase, extending the intra-batch dedup across the whole request
+  /// stream. Set before serving starts.
+  void set_plan_cache(PlanCache* cache) { plan_cache_ = cache; }
 
   core::PmwCm& mechanism() { return cm_; }
   const core::PmwCm& mechanism() const { return cm_; }
@@ -293,6 +286,7 @@ class PmwService {
     obs::Counter* reprepared = nullptr;
     obs::Counter* cross_batch_cache_lookups = nullptr;
     obs::Counter* cross_batch_cache_hits = nullptr;
+    obs::Counter* plan_stale_dropped = nullptr;
     obs::Gauge* threads = nullptr;
     obs::Gauge* shards = nullptr;
     obs::Gauge* mw_update_ms = nullptr;
@@ -325,7 +319,7 @@ class PmwService {
   /// Writer-local: only the serving thread touches the handle cache.
   std::map<std::string, AnalystHandles> analyst_handles_;
   bool record_spans_ = true;
-  PlanCacheHook* plan_cache_ = nullptr;  // not owned
+  PlanCache* plan_cache_ = nullptr;  // not owned
 };
 
 }  // namespace serve

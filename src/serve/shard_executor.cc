@@ -27,7 +27,7 @@ void ShardExecutor::PrepareShard(std::span<const convex::CmQuery> queries,
 
 ShardExecutor::PrepareResult ShardExecutor::PrepareRange(
     std::span<const convex::CmQuery> queries, size_t begin, size_t end,
-    const Epoch& epoch, PlanCacheHook* cache) const {
+    const Epoch& epoch, PlanCache* cache) const {
   PMW_CHECK_LE(begin, end);
   PMW_CHECK_LE(end, queries.size());
   PrepareResult result;
@@ -69,12 +69,15 @@ ShardExecutor::PrepareResult ShardExecutor::PrepareRange(
     for (size_t slot = 0; slot < distinct; ++slot) {
       const convex::CmQuery& query = queries[positions[slot]];
       QueryKey key{query.loss, query.domain};
-      if (cache->Lookup(key, stamp, &result.plans[slot])) {
+      const PlanCache::Probe probe =
+          cache->Lookup(key, stamp, &result.plans[slot]);
+      if (probe == PlanCache::Probe::kHit) {
         ++result.cross_batch_hits;
         result.plan_from_cache[slot] = 1;
-      } else {
-        miss_slots.push_back(slot);
+        continue;
       }
+      if (probe == PlanCache::Probe::kStale) ++result.cross_batch_stale;
+      miss_slots.push_back(slot);
     }
   } else {
     for (size_t slot = 0; slot < distinct; ++slot) {

@@ -30,93 +30,10 @@
 #include "convex/cm_query.h"
 #include "core/pmw_cm.h"
 #include "serve/epoch_state.h"
+#include "serve/plan_cache.h"
 
 namespace pmw {
 namespace serve {
-
-/// Identity of a CM query: the loss/domain objects (families own them and
-/// keep them alive; equal pointers <=> same mathematical query).
-struct QueryKey {
-  const void* loss;
-  const void* domain;
-  bool operator==(const QueryKey& other) const {
-    return loss == other.loss && domain == other.domain;
-  }
-};
-struct QueryKeyHash {
-  size_t operator()(const QueryKey& key) const {
-    size_t h = std::hash<const void*>()(key.loss);
-    return h ^ (std::hash<const void*>()(key.domain) + 0x9e3779b9 + (h << 6) +
-                (h >> 2));
-  }
-};
-
-/// The epoch identity a plan is computed under and validated against.
-/// `shard_set` names the partition, `content` folds the per-shard content
-/// fingerprints of the published support (Epoch::content_fingerprint),
-/// and `version` is the hypothesis version stamped into plans.
-struct PlanStamp {
-  int version = -1;
-  uint64_t shard_set = 0;
-  uint64_t content = 0;
-};
-
-/// A cross-batch plan cache the executor consults before computing plans
-/// and feeds after (frontend::PlanCache implements it). Entries are keyed
-/// by (query fingerprint, shard set, per-shard content fingerprints):
-/// Prepare is a pure function of (query, support bytes), and sharding
-/// never changes the hypothesis bits, so a cached plan whose stamp agrees
-/// on (shard_set, content) is byte-identical to what Prepare would
-/// recompute against the probing epoch — even when the hypothesis
-/// *version* differs, as it does on every soft round between hard
-/// updates. Implementations serving such a content hit must restamp the
-/// returned plan's hypothesis_version to the probing stamp's version (the
-/// one field Prepare derives from the version rather than the bytes);
-/// after that restamp the plan is byte-identical to a recompute, so
-/// serving from the cache can never change a transcript — only the
-/// wall-clock.
-///
-/// Threading contract: every method is called from the serving writer
-/// thread only (PrepareRange probes before fanning work out and inserts
-/// after joining the shards). Implementations may add internal locking so
-/// other threads can scrape stats, but correctness never relies on it.
-/// Replacement/staleness totals a PlanCacheHook reports for
-/// observability: the three distinct ways a cached plan dies. Surfaced
-/// through ServeStats and the frontend's pmw_frontend_plan_* metrics.
-struct PlanCacheCounters {
-  /// Entries evicted by the replacement policy to make room.
-  long long evicted = 0;
-  /// New plans the admission policy refused to cache at all.
-  long long admission_rejected = 0;
-  /// Entries dropped because their content fingerprints went stale.
-  long long stale_dropped = 0;
-};
-
-class PlanCacheHook {
- public:
-  virtual ~PlanCacheHook() = default;
-
-  /// Copies the cached plan for `key` into `*plan` — restamped to
-  /// `stamp.version` — and returns true when the cached stamp matches
-  /// `stamp` on (shard_set, content); returns false on a miss.
-  virtual bool Lookup(const QueryKey& key, const PlanStamp& stamp,
-                      core::PreparedQuery* plan) = 0;
-
-  /// Offers a freshly computed plan, computed under `stamp` (so
-  /// plan.hypothesis_version == stamp.version).
-  virtual void Insert(const QueryKey& key, const PlanStamp& stamp,
-                      const core::PreparedQuery& plan) = 0;
-
-  /// The writer published an epoch with this stamp. Entries whose content
-  /// no longer matches are permanently stale (the hypothesis only moves
-  /// forward) and must never be served again — implementations may drop
-  /// them eagerly here or lazily on lookup.
-  virtual void OnEpochPublish(const PlanStamp& stamp) = 0;
-
-  /// Running replacement/staleness totals (bookkeeping only — never
-  /// influences caching decisions or answers). Default: all zeros.
-  virtual PlanCacheCounters Counters() const { return {}; }
-};
 
 class ShardExecutor {
  public:
@@ -145,6 +62,9 @@ class ShardExecutor {
     /// Distinct queries served from the cross-batch cache instead of
     /// being recomputed.
     long long cross_batch_hits = 0;
+    /// Distinct queries whose cached plan was dropped as stale on probe
+    /// (counted among the misses, then recomputed).
+    long long cross_batch_stale = 0;
     /// Shards actually dispatched for this range.
     int shards = 0;
   };
@@ -156,7 +76,7 @@ class ShardExecutor {
   /// plan after the shards join — both on the calling thread.
   PrepareResult PrepareRange(std::span<const convex::CmQuery> queries,
                              size_t begin, size_t end, const Epoch& epoch,
-                             PlanCacheHook* cache = nullptr) const;
+                             PlanCache* cache = nullptr) const;
 
  private:
   /// Prepares the cache-missed queries whose plan slots are

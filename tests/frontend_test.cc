@@ -1,5 +1,5 @@
 // Acceptance tests for the async multi-analyst front-end
-// (frontend/dispatcher.h + quota_manager.h + plan_cache.h):
+// (frontend/dispatcher.h + quota_manager.h, with serve/plan_cache.h):
 //
 //   (a) Transcript equivalence. N concurrent analyst threads submit
 //       through the Dispatcher; the recorded arrival log is replayed
@@ -15,8 +15,8 @@
 //       across batches (hit-rate > 0 on a repeated-query workload),
 //       serves content hits across hypothesis versions with the version
 //       restamped, and lazily drops plans whose fingerprints went stale.
-//   (d) The CLOCK ring's mechanics in isolation: second-chance eviction
-//       order and frequency-sketch admission under a full ring.
+//   (d) The cache's bound in isolation: a full cache refuses new keys
+//       while residents keep hitting and stale drops free room.
 //
 // The TSan CI job rebuilds this binary, so the concurrency claims are
 // machine-checked alongside the functional ones.
@@ -37,10 +37,10 @@
 #include "erm/noisy_gradient_oracle.h"
 #include "erm/nonprivate_oracle.h"
 #include "frontend/dispatcher.h"
-#include "frontend/plan_cache.h"
 #include "frontend/quota_manager.h"
 #include "gtest/gtest.h"
 #include "losses/loss_family.h"
+#include "serve/plan_cache.h"
 #include "serve/pmw_service.h"
 
 namespace pmw {
@@ -102,12 +102,13 @@ TEST_F(FrontendTest, TranscriptMatchesSequentialReplayOfArrivalLog) {
   serve::PmwService service(dataset_.get(), &oracle, options, kSeed,
                             serve_options);
   QuotaManager quota(&service, QuotaOptions{});  // unlimited
-  PlanCache cache;
+  serve::PlanCache cache;
+  service.set_plan_cache(&cache);
   DispatcherOptions dispatcher_options;
   dispatcher_options.max_batch = 16;
   dispatcher_options.max_wait = std::chrono::microseconds(2000);
   dispatcher_options.record_arrival_log = true;
-  Dispatcher dispatcher(&service, &quota, &cache, dispatcher_options);
+  Dispatcher dispatcher(&service, &quota, dispatcher_options);
 
   // N analysts, each submitting its own deterministic slice of the pool
   // from its own thread. The global interleaving is whatever the MPSC
@@ -217,7 +218,7 @@ TEST_F(FrontendTest, FairRoundRobinPopKeepsTranscriptsReplayable) {
   dispatcher_options.max_wait = std::chrono::microseconds(2000);
   dispatcher_options.record_arrival_log = true;
   dispatcher_options.fair_round_robin = true;
-  Dispatcher dispatcher(&service, nullptr, nullptr, dispatcher_options);
+  Dispatcher dispatcher(&service, nullptr, dispatcher_options);
 
   std::mutex submitted_mutex;
   std::vector<SubmittedRequest> submitted;
@@ -282,7 +283,7 @@ TEST_F(FrontendTest, QuotaRejectionConsumesZeroPrivacyBudget) {
   QuotaOptions quota_options;
   quota_options.per_analyst_queries = 3;
   QuotaManager quota(&service, quota_options);
-  Dispatcher dispatcher(&service, &quota, nullptr);
+  Dispatcher dispatcher(&service, &quota);
   AnalystSession session(&dispatcher, "bounded-analyst");
 
   // First 3 are admitted and served.
@@ -345,7 +346,7 @@ TEST_F(FrontendTest, GlobalQuotaAppliesAcrossAnalysts) {
   QuotaOptions quota_options;
   quota_options.global_queries = 4;
   QuotaManager quota(&service, quota_options);
-  Dispatcher dispatcher(&service, &quota, nullptr);
+  Dispatcher dispatcher(&service, &quota);
 
   int served = 0;
   int rejected = 0;
@@ -374,29 +375,27 @@ TEST_F(FrontendTest, PlanCacheHitsAcrossBatchesAndDropsStalePlans) {
   data::Dataset dataset = data::RoundedDataset(universe_, uniform, 60000);
   erm::NonPrivateOracle oracle;
   serve::PmwService service(&dataset, &oracle, PracticalOptions(), 9);
-  PlanCache cache;
+  serve::PlanCache cache;
   service.set_plan_cache(&cache);
 
   std::vector<convex::CmQuery> batch(pool_.begin(), pool_.begin() + 4);
   service.AnswerBatch(batch);
-  PlanCache::Stats first = cache.stats();
-  EXPECT_EQ(first.hits, 0);
-  EXPECT_EQ(first.insertions, 4);
+  EXPECT_EQ(service.stats().cross_batch_cache_hits, 0);
   EXPECT_EQ(cache.size(), 4u);
 
   // Same queries, next batch: every distinct plan is served from the
   // cache — zero solver work in the prepare phase.
   service.AnswerBatch(batch);
-  PlanCache::Stats second = cache.stats();
-  EXPECT_EQ(second.hits, 4);
-  EXPECT_EQ(second.insertions, 4);
-  EXPECT_GT(second.HitRate(), 0.0);
-
   const serve::ServeStats& stats = service.stats();
   EXPECT_EQ(stats.cross_batch_cache_hits, 4);
   EXPECT_EQ(stats.cross_batch_cache_lookups, 8);
   EXPECT_EQ(stats.CrossBatchHitRate(), 0.5);
-  const serve::PlanStamp stamp = cache.current_stamp();
+  EXPECT_EQ(stats.plan_cache_stale_dropped, 0);
+  EXPECT_EQ(cache.size(), 4u);
+  const serve::Epoch& epoch = *service.epochs().Current();
+  const serve::PlanStamp stamp{epoch.snapshot->version,
+                               epoch.shard_fingerprint,
+                               epoch.content_fingerprint};
   EXPECT_EQ(stamp.version, service.mechanism().hypothesis_version());
   EXPECT_EQ(stamp.shard_set, service.mechanism().shard_fingerprint());
 
@@ -407,28 +406,40 @@ TEST_F(FrontendTest, PlanCacheHitsAcrossBatchesAndDropsStalePlans) {
   serve::PlanStamp republished = stamp;
   republished.version = stamp.version + 1;
   core::PreparedQuery plan;
-  ASSERT_TRUE(cache.Lookup(serve::QueryKey{batch[0].loss, batch[0].domain},
-                           republished, &plan));
+  ASSERT_EQ(cache.Lookup(serve::QueryKey{batch[0].loss, batch[0].domain},
+                         republished, &plan),
+            serve::PlanCache::Probe::kHit);
   EXPECT_EQ(plan.hypothesis_version, republished.version);
 
   // Forced staleness: the content fingerprint moved on, so the probe
   // drops the entry lazily — it can never be valid again.
   serve::PlanStamp moved = stamp;
   moved.content = stamp.content + 1;
-  EXPECT_FALSE(cache.Lookup(serve::QueryKey{batch[0].loss, batch[0].domain},
-                            moved, &plan));
-  EXPECT_EQ(cache.stats().stale_dropped, 1);
+  EXPECT_EQ(cache.Lookup(serve::QueryKey{batch[0].loss, batch[0].domain},
+                         moved, &plan),
+            serve::PlanCache::Probe::kStale);
   EXPECT_EQ(cache.size(), 3u);
+  // Dropped, so the next probe is a plain miss.
+  EXPECT_EQ(cache.Lookup(serve::QueryKey{batch[0].loss, batch[0].domain},
+                         moved, &plan),
+            serve::PlanCache::Probe::kMiss);
 
   // A repartition (new shard set at the same content) invalidates the
   // same way: plans are only served into the exact (shard_set, content)
   // they were computed under.
   serve::PlanStamp repartitioned = stamp;
   repartitioned.shard_set = stamp.shard_set + 1;
-  EXPECT_FALSE(cache.Lookup(serve::QueryKey{batch[1].loss, batch[1].domain},
-                            repartitioned, &plan));
-  EXPECT_EQ(cache.stats().stale_dropped, 2);
+  EXPECT_EQ(cache.Lookup(serve::QueryKey{batch[1].loss, batch[1].domain},
+                         repartitioned, &plan),
+            serve::PlanCache::Probe::kStale);
   EXPECT_EQ(cache.size(), 2u);
+
+  // The service's next batch re-prepares the dropped queries as plain
+  // misses and re-caches them; the two surviving entries still hit.
+  service.AnswerBatch(batch);
+  EXPECT_EQ(service.stats().cross_batch_cache_hits, 6);
+  EXPECT_EQ(service.stats().plan_cache_stale_dropped, 0);
+  EXPECT_EQ(cache.size(), 4u);
 }
 
 TEST_F(FrontendTest, PlanCacheStaysCoherentThroughHardRounds) {
@@ -441,7 +452,7 @@ TEST_F(FrontendTest, PlanCacheStaysCoherentThroughHardRounds) {
   erm::NoisyGradientOracle oracle;
   serve::PmwService service(dataset_.get(), &oracle, PracticalOptions(),
                             kSeed);
-  PlanCache cache;
+  serve::PlanCache cache;
   service.set_plan_cache(&cache);
 
   std::vector<convex::CmQuery> traffic;
@@ -456,81 +467,61 @@ TEST_F(FrontendTest, PlanCacheStaysCoherentThroughHardRounds) {
   }
 
   EXPECT_GT(service.mechanism().update_count(), 0);
-  EXPECT_EQ(cache.current_stamp().version,
-            service.mechanism().hypothesis_version());
-  PlanCache::Stats stats = cache.stats();
   // Repeats amortized across batches; hard rounds moved the content
   // fingerprints, so re-probed old plans were dropped as stale.
-  EXPECT_GT(stats.hits, 0);
-  EXPECT_GT(stats.stale_dropped, 0);
-  EXPECT_GT(service.stats().CrossBatchHitRate(), 0.0);
+  const serve::ServeStats& stats = service.stats();
+  EXPECT_GT(stats.cross_batch_cache_hits, 0);
+  EXPECT_GT(stats.CrossBatchHitRate(), 0.0);
+  EXPECT_GT(stats.plan_cache_stale_dropped, 0);
+  // The live counters and the registry-rebuilt snapshot agree with no
+  // dispatcher attached.
+  EXPECT_EQ(stats.plan_cache_stale_dropped,
+            service.stats_snapshot().plan_cache_stale_dropped);
 }
 
-TEST(PlanCacheClockTest, SecondChanceEvictsUnreferencedInRingOrder) {
-  // 3-slot ring; resident keys A, B, C inserted in order. Touch A and C
-  // (ref bits set), leave B cold; then insert D 3 times so its sketch
-  // frequency beats every resident's. The CLOCK hand starts at slot 0:
-  // A and C get second chances (ref cleared), B is the first
-  // unreferenced slot the hand reaches — the victim.
-  int keys[5] = {};
-  auto key = [&](int i) { return serve::QueryKey{&keys[i], &keys[i]}; };
+TEST(PlanCacheTest, FullCacheRefusesNewKeysButKeepsServingResidents) {
+  constexpr size_t kMax = serve::PlanCache::kMaxEntries;
+  std::vector<int> keys(kMax + 2);
+  auto key = [&](size_t i) { return serve::QueryKey{&keys[i], &keys[i]}; };
   const serve::PlanStamp stamp{1, 7, 99};
   core::PreparedQuery plan;
   plan.hypothesis_version = stamp.version;
 
-  PlanCache cache(3);
+  serve::PlanCache cache;
+  for (size_t i = 0; i < kMax; ++i) cache.Insert(key(i), stamp, plan);
+  ASSERT_EQ(cache.size(), kMax);
+
+  // (a) A new key is refused at the cap and still misses.
   core::PreparedQuery out;
-  for (int i = 0; i < 3; ++i) {
-    cache.Lookup(key(i), stamp, &out);  // seed sketch frequency
-    cache.Insert(key(i), stamp, plan);
-  }
-  ASSERT_EQ(cache.size(), 3u);
-  EXPECT_TRUE(cache.Lookup(key(0), stamp, &out));  // ref A
-  EXPECT_TRUE(cache.Lookup(key(2), stamp, &out));  // ref C
+  cache.Insert(key(kMax), stamp, plan);
+  EXPECT_EQ(cache.size(), kMax);
+  EXPECT_EQ(cache.Lookup(key(kMax), stamp, &out),
+            serve::PlanCache::Probe::kMiss);
 
-  for (int probe = 0; probe < 3; ++probe) {
-    EXPECT_FALSE(cache.Lookup(key(3), stamp, &out));
-  }
-  cache.Insert(key(3), stamp, plan);
+  // (b) Residents keep hitting, and refreshing one goes through at the
+  // cap.
+  EXPECT_EQ(cache.Lookup(key(0), stamp, &out), serve::PlanCache::Probe::kHit);
+  EXPECT_EQ(cache.Lookup(key(kMax - 1), stamp, &out),
+            serve::PlanCache::Probe::kHit);
+  const serve::PlanStamp next{2, 7, 100};
+  cache.Insert(key(1), next, plan);
+  EXPECT_EQ(cache.Lookup(key(1), next, &out), serve::PlanCache::Probe::kHit);
+  EXPECT_EQ(cache.size(), kMax);
 
-  EXPECT_EQ(cache.stats().evicted, 1);
-  EXPECT_TRUE(cache.Lookup(key(0), stamp, &out));   // A survived
-  EXPECT_FALSE(cache.Lookup(key(1), stamp, &out));  // B was the victim
-  EXPECT_TRUE(cache.Lookup(key(2), stamp, &out));   // C survived
-  EXPECT_TRUE(cache.Lookup(key(3), stamp, &out));   // D admitted
-}
-
-TEST(PlanCacheClockTest, AdmissionRefusesOneShotScanOverHotResidents) {
-  // Fill a 2-slot ring with keys probed repeatedly (hot), then stream a
-  // sequence of never-repeated keys at it. Each one-shot newcomer loses
-  // the admission duel (sketch frequency 1 vs the residents'), so the
-  // hot working set survives the scan untouched.
-  int keys[12] = {};
-  auto key = [&](int i) { return serve::QueryKey{&keys[i], &keys[i]}; };
-  const serve::PlanStamp stamp{1, 7, 99};
-  core::PreparedQuery plan;
-  plan.hypothesis_version = stamp.version;
-
-  PlanCache cache(2);
-  core::PreparedQuery out;
-  for (int i = 0; i < 2; ++i) {
-    for (int probe = 0; probe < 4; ++probe) cache.Lookup(key(i), stamp, &out);
-    cache.Insert(key(i), stamp, plan);
-  }
-  for (int i = 2; i < 12; ++i) {
-    EXPECT_FALSE(cache.Lookup(key(i), stamp, &out));
-    cache.Insert(key(i), stamp, plan);
-  }
-  EXPECT_EQ(cache.stats().admission_rejected, 10);
-  EXPECT_EQ(cache.stats().evicted, 0);
-  EXPECT_TRUE(cache.Lookup(key(0), stamp, &out));
-  EXPECT_TRUE(cache.Lookup(key(1), stamp, &out));
+  // (c) A resident whose stamp went stale is dropped on probe, and the
+  // freed room admits a newcomer.
+  EXPECT_EQ(cache.Lookup(key(2), next, &out), serve::PlanCache::Probe::kStale);
+  EXPECT_EQ(cache.size(), kMax - 1);
+  cache.Insert(key(kMax + 1), next, plan);
+  EXPECT_EQ(cache.size(), kMax);
+  EXPECT_EQ(cache.Lookup(key(kMax + 1), next, &out),
+            serve::PlanCache::Probe::kHit);
 }
 
 TEST_F(FrontendTest, SubmitAfterShutdownResolvesWithTypedError) {
   erm::NonPrivateOracle oracle;
   serve::PmwService service(dataset_.get(), &oracle, PracticalOptions(), 3);
-  Dispatcher dispatcher(&service, nullptr, nullptr);
+  Dispatcher dispatcher(&service, nullptr);
   dispatcher.Shutdown();
 
   Result<convex::Vec> result =
@@ -548,7 +539,7 @@ TEST_F(FrontendTest, ExpiredDeadlineResolvesTypedAtZeroPrivacyCost) {
   QuotaOptions quota_options;
   quota_options.per_analyst_queries = 4;
   QuotaManager quota(&service, quota_options);
-  Dispatcher dispatcher(&service, &quota, nullptr);
+  Dispatcher dispatcher(&service, &quota);
   AnalystSession session(&dispatcher, "deadline-analyst");
 
   // Warm the mechanism so the ledger is non-trivial before the expiry.
@@ -602,7 +593,7 @@ TEST_F(FrontendTest, DeadlineExpiryRefundsExactlyOneQuotaSlot) {
   QuotaOptions quota_options;
   quota_options.per_analyst_queries = 4;
   QuotaManager quota(&service, quota_options);
-  Dispatcher dispatcher(&service, &quota, nullptr);
+  Dispatcher dispatcher(&service, &quota);
   AnalystSession session(&dispatcher, "refund-analyst");
 
   // Warm the quota ledger: two served queries leave admitted == 2.
@@ -645,12 +636,13 @@ TEST_F(FrontendTest, BackpressureOnTinyQueueStillServesEverything) {
   serve_options.num_threads = 2;
   serve::PmwService service(dataset_.get(), &oracle, PracticalOptions(), 11,
                             serve_options);
-  PlanCache cache;
+  serve::PlanCache cache;
+  service.set_plan_cache(&cache);
   DispatcherOptions options;
   options.queue_capacity = 2;  // producers must block and retry
   options.max_batch = 4;
   options.max_wait = std::chrono::microseconds(200);
-  Dispatcher dispatcher(&service, nullptr, &cache, options);
+  Dispatcher dispatcher(&service, nullptr, options);
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 25;
