@@ -13,19 +13,22 @@
 //    and the cost that matters is the MW-update path — the
 //    dual-certificate payoff over all of X plus the sharded
 //    reweigh/renormalize — which serve::ShardRouter fans across the
-//    pool. The measured quantity is core::MwUpdateTiming (the update
-//    path alone; oracle solves and prepares excluded — they are the
+//    pool. The measured quantity is ServeStats::mw_update_ms, the sum of
+//    the service's per-hard-round MW-update histogram (the update path
+//    alone; oracle solves and prepares excluded — they are the
 //    sequential part sharding cannot touch). Gate: >= 2x MW-update-path
 //    throughput at --shards=4 over --shards=1. Updates per config must
 //    be identical (sharding is bit-invariant), so the ratio is pure
 //    wall-clock.
 //
-// Both gates need hardware to scale on: with fewer than 4 cores the run
-// still prints the tables but exits SKIP instead of FAIL, since no
-// scheduler can conjure parallel speedup out of one core. CI runs this
-// on 4-vCPU runners. Transcript safety is asserted, not assumed: every
-// configuration must produce the same bottom/update/error counts
-// (serve_sharded_test checks value-level identity).
+// Both gates need hardware to scale on: when the effective-core probe
+// (workload/cores.h) measures fewer than 3.5 cores of real parallelism
+// the run still prints the tables but exits SKIP instead of FAIL, since
+// no scheduler can conjure parallel speedup out of one core — however
+// many vCPUs the box advertises. Transcript safety is asserted, not
+// assumed: every configuration must produce the same
+// bottom/update/error counts (serve_sharded_test checks value-level
+// identity).
 
 #include <algorithm>
 #include <cstdio>
@@ -49,10 +52,30 @@
 #include "erm/nonprivate_oracle.h"
 #include "losses/loss_family.h"
 #include "serve/pmw_service.h"
+#include "workload/cores.h"
 #include "workload/json.h"
 
 namespace pmw {
 namespace {
+
+/// The box's advertised parallelism (hardware_concurrency, which
+/// baselines are bucketed by) and the measured one the gates trust.
+struct Cores {
+  unsigned advertised = 0;
+  double effective = 0.0;
+};
+
+/// Both scaling gates want four cores of real parallelism; below this
+/// measured floor they SKIP.
+constexpr double kMinEffectiveCores = 3.5;
+
+/// The BENCH json `env` record.
+workload::JsonValue EnvJson(const Cores& cores) {
+  workload::JsonValue env = workload::JsonValue::Object();
+  env.Set("cores", workload::JsonValue::Int(cores.advertised))
+      .Set("effective_cores", workload::JsonValue::Double(cores.effective));
+  return env;
+}
 
 constexpr int kDim = 6;
 constexpr int kRecords = 200000;
@@ -184,8 +207,8 @@ MwBenchResult RunMwAtShards(const data::Dataset& dataset,
 /// dense baselines are never compared against sparse sweeps; transcript
 /// counters must still agree across shard counts — exact mode is
 /// bit-identical by construction, and this bench runs it hot.
-int RunMwPhase(int gate_shards, unsigned cores, const std::string& json_dir,
-               core::HypothesisBackend backend) {
+int RunMwPhase(int gate_shards, const Cores& cores,
+               const std::string& json_dir, core::HypothesisBackend backend) {
   data::LabeledHypercubeUniverse universe(kMwDim);
   // Point mass: the uniform initial hypothesis is maximally wrong, so
   // hard rounds fire until the update budget is spent — the MW-heavy
@@ -270,16 +293,15 @@ int RunMwPhase(int gate_shards, unsigned cores, const std::string& json_dir,
                           workload::JsonValue::Int(kMwUpdates))
                      .Set("threads", workload::JsonValue::Int(kMwThreads))
                      .Set("backend", workload::JsonValue::Str(backend_name)))
-            .Set("env", workload::JsonValue::Object().Set(
-                            "cores", workload::JsonValue::Int(cores)))
+            .Set("env", EnvJson(cores))
             .Set("sweep", std::move(sweep))
             .Set("speedup_top_vs_1", workload::JsonValue::Double(speedup));
     if (!WriteBenchJson(root, json_dir, bench_name)) return 1;
   }
-  if (cores < 4) {
-    std::printf("RESULT: SKIP (only %u hardware core(s); the >= 2x gate "
-                "needs 4)\n",
-                cores);
+  if (cores.effective < kMinEffectiveCores) {
+    std::printf("RESULT: SKIP (%.2f effective core(s) of %u advertised; "
+                "the >= 2x gate needs %.1f)\n",
+                cores.effective, cores.advertised, kMinEffectiveCores);
     return 0;
   }
   if (top < 4) {
@@ -365,20 +387,20 @@ SimdRun RunSimdAt(bool simd_on, const std::vector<double>& base,
 /// records the same artifact without failing, for baseline collection.
 /// Without AVX2 the comparison would be scalar-vs-scalar, so the run
 /// SKIPs and the artifact says so instead of faking a 1.0x.
-int RunSimdPhase(bool gated, unsigned cores, const std::string& json_dir) {
+int RunSimdPhase(bool gated, const Cores& cores,
+                 const std::string& json_dir) {
   std::printf("\nSIMD sweep (reweigh+normalize inner loops): |X|=%d, "
               "kernel reps=%d, updates=%d, avx2=%s\n",
               1 << kSimdDomainBits, kSimdKernelReps, kSimdUpdates,
               simd::Available() ? "yes" : "no");
   if (!simd::Available()) {
     if (!json_dir.empty()) {
+      workload::JsonValue env = EnvJson(cores);
+      env.Set("simd_available", workload::JsonValue::Bool(false));
       workload::JsonValue root =
           workload::JsonValue::Object()
               .Set("bench", workload::JsonValue::Str("mw_simd"))
-              .Set("env",
-                   workload::JsonValue::Object()
-                       .Set("cores", workload::JsonValue::Int(cores))
-                       .Set("simd_available", workload::JsonValue::Bool(false)));
+              .Set("env", std::move(env));
       if (!WriteBenchJson(root, json_dir, "mw_simd")) return 1;
     }
     std::printf("RESULT: SKIP (no AVX2: on/off would compare scalar to "
@@ -437,6 +459,8 @@ int RunSimdPhase(bool gated, unsigned cores, const std::string& json_dir) {
               kernel_speedup, update_speedup);
 
   if (!json_dir.empty()) {
+    workload::JsonValue env = EnvJson(cores);
+    env.Set("simd_available", workload::JsonValue::Bool(true));
     workload::JsonValue root =
         workload::JsonValue::Object()
             .Set("bench", workload::JsonValue::Str("mw_simd"))
@@ -447,10 +471,7 @@ int RunSimdPhase(bool gated, unsigned cores, const std::string& json_dir) {
                      .Set("kernel_reps",
                           workload::JsonValue::Int(kSimdKernelReps))
                      .Set("updates", workload::JsonValue::Int(kSimdUpdates)))
-            .Set("env",
-                 workload::JsonValue::Object()
-                     .Set("cores", workload::JsonValue::Int(cores))
-                     .Set("simd_available", workload::JsonValue::Bool(true)))
+            .Set("env", std::move(env))
             .Set("kernel_ms_off", workload::JsonValue::Double(off.kernel_ms))
             .Set("kernel_ms_on", workload::JsonValue::Double(on.kernel_ms))
             .Set("mw_update_ms_off",
@@ -476,7 +497,7 @@ int RunSimdPhase(bool gated, unsigned cores, const std::string& json_dir) {
   return kernel_speedup >= 1.3 ? 0 : 1;
 }
 
-int Main(const std::string& json_dir) {
+int Main(const Cores& cores, const std::string& json_dir) {
   data::LabeledHypercubeUniverse universe(kDim);
   // Near-uniform data: the uniform initial hypothesis is already accurate,
   // so the sparse vector answers kBottom throughout — the steady-state
@@ -490,11 +511,11 @@ int Main(const std::string& json_dir) {
   std::vector<convex::CmQuery> workload =
       family.Generate(kTotalQueries, &rng);
 
-  const unsigned cores = std::thread::hardware_concurrency();
   std::printf(
       "bench_serve_parallel: |X|=%d, n=%d, queries=%d (all distinct), "
-      "batch=%zu, cores=%u\n",
-      universe.size(), kRecords, kTotalQueries, kBatchSize, cores);
+      "batch=%zu, cores=%u (effective %.2f)\n",
+      universe.size(), kRecords, kTotalQueries, kBatchSize, cores.advertised,
+      cores.effective);
 
   TablePrinter table({"threads", "queries/sec", "bottom", "updates"});
   std::vector<int> thread_counts = {1, 2, 4, 8};
@@ -545,16 +566,15 @@ int Main(const std::string& json_dir) {
                      .Set("queries", workload::JsonValue::Int(kTotalQueries))
                      .Set("batch", workload::JsonValue::Int(
                                        static_cast<long long>(kBatchSize))))
-            .Set("env", workload::JsonValue::Object().Set(
-                            "cores", workload::JsonValue::Int(cores)))
+            .Set("env", EnvJson(cores))
             .Set("sweep", std::move(sweep))
             .Set("speedup_4_vs_1", workload::JsonValue::Double(speedup));
     if (!WriteBenchJson(root, json_dir, "prepare_threads")) return 1;
   }
-  if (cores < 4) {
-    std::printf(
-        "RESULT: SKIP (only %u hardware core(s); the >= 2.5x gate needs 4)\n",
-        cores);
+  if (cores.effective < kMinEffectiveCores) {
+    std::printf("RESULT: SKIP (%.2f effective core(s) of %u advertised; "
+                "the >= 2.5x gate needs %.1f)\n",
+                cores.effective, cores.advertised, kMinEffectiveCores);
     return 0;
   }
   std::printf(speedup >= 2.5 ? "RESULT: PASS\n" : "RESULT: FAIL\n");
@@ -611,7 +631,9 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const unsigned cores = std::thread::hardware_concurrency();
+  // Probed before any phase starts its pools, so nothing else competes.
+  const pmw::Cores cores{std::thread::hardware_concurrency(),
+                         pmw::workload::EffectiveCores()};
   const pmw::core::HypothesisBackend pinned =
       backend_flag == "sparse" ? pmw::core::HypothesisBackend::kSparse
                                : pmw::core::HypothesisBackend::kDense;
@@ -621,7 +643,7 @@ int main(int argc, char** argv) {
   if (gate_shards > 0) {
     return pmw::RunMwPhase(gate_shards, cores, json_dir, pinned);
   }
-  const int prepare_code = pmw::Main(json_dir);
+  const int prepare_code = pmw::Main(cores, json_dir);
   if (!backend_flag.empty()) {
     const int mw_code = pmw::RunMwPhase(0, cores, json_dir, pinned);
     return prepare_code != 0 ? prepare_code : mw_code;

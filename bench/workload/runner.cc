@@ -20,6 +20,7 @@
 #include "core/sharded_hypothesis.h"
 #include "data/generators.h"
 #include "data/histogram.h"
+#include "workload/cores.h"
 #include "workload/json.h"
 
 #include <cstdlib>
@@ -450,6 +451,7 @@ ScenarioResult ScenarioHarness::Run(const Trace& trace) {
   ScenarioResult result;
   result.spec = spec_;
   result.cores = static_cast<int>(std::thread::hardware_concurrency());
+  result.effective_cores = EffectiveCores();
   result.serve_threads = ResolveServeThreads(spec_);
   result.shards = spec_.shards;
   result.issued = drive.issued;
@@ -610,6 +612,7 @@ std::string ScenarioResult::ToJson() const {
 
   JsonValue env = JsonValue::Object();
   env.Set("cores", JsonValue::Int(cores))
+      .Set("effective_cores", JsonValue::Double(effective_cores))
       .Set("serve_threads", JsonValue::Int(serve_threads))
       .Set("shards", JsonValue::Int(shards));
 

@@ -71,7 +71,10 @@ struct DriveResult {
 
 struct ScenarioResult {
   ScenarioSpec spec;
+  /// hardware_concurrency() (the baseline bucket) and the measured
+  /// parallelism behind it (workload/cores.h).
   int cores = 0;
+  double effective_cores = 0.0;
   int serve_threads = 0;
   int shards = 0;
 

@@ -50,9 +50,6 @@ ServerEndpoint::ServerEndpoint(const data::Dataset* dataset,
   PMW_CHECK(dataset != nullptr);
   PMW_CHECK(catalog != nullptr);
   codec_counters_.BindTo(&registry_);
-  if (options.enable_tracing) {
-    traces_ = std::make_unique<obs::TraceRecorder>(options.trace_capacity);
-  }
   if (oracle == nullptr) {
     owned_oracle_ = MakeOracle(options.oracle);
     oracle = owned_oracle_.get();
@@ -68,7 +65,7 @@ ServerEndpoint::ServerEndpoint(const data::Dataset* dataset,
                                                     options.quota);
   frontend::DispatcherOptions dispatcher_options = options.dispatcher;
   dispatcher_options.record_arrival_log = options.record_arrival_log;
-  dispatcher_options.trace_recorder = traces_.get();
+  dispatcher_options.trace_recorder = &traces_;
   dispatcher_ = std::make_unique<frontend::Dispatcher>(
       service_.get(), quota_.get(), dispatcher_options);
 }
@@ -260,13 +257,9 @@ AnswerEnvelope ServerEndpoint::HandleTrace(const TraceRequest& request) {
     return envelope;
   }
   envelope.version = request.version;
-  if (traces_ == nullptr) {
-    envelope.message = "(tracing disabled on this endpoint)\n";
-    return envelope;
-  }
-  envelope.message = obs::TraceRecorder::Format(traces_->SlowRequests(
-      request.min_total_us, std::min<size_t>(request.max_traces,
-                                             traces_->capacity())));
+  envelope.message = obs::TraceRecorder::Format(traces_.SlowRequests(
+      request.min_total_us,
+      std::min<size_t>(request.max_traces, traces_.capacity())));
   return envelope;
 }
 
@@ -408,9 +401,9 @@ std::string ServerEndpoint::Report() const {
   row.push_back(TablePrinter::FmtInt(codec_counters_.bytes_out->Value()));
   TablePrinter table(std::move(header));
   table.AddRow(std::move(row));
-  // The snapshot, not the live counters: Report() is also the payload of
-  // the stats RPC, which runs while the writer keeps serving.
-  return table.ToString() + service_->stats_snapshot().Report();
+  // Both stats views read only the registry: Report() is also the payload
+  // of the stats RPC, which runs while the writer keeps serving.
+  return table.ToString() + service_->stats().Report();
 }
 
 }  // namespace api

@@ -64,13 +64,6 @@ struct ServerOptions {
   /// Record (analyst, client request id, query name) per committed
   /// request, in commit order — the replayable transcript log.
   bool record_arrival_log = false;
-  /// Record per-request span trees into a bounded ring, served by the
-  /// kTraceRequest RPC. Strictly out-of-transcript: the dispatcher
-  /// publishes each tree AFTER resolving the request's promise, so
-  /// tracing never changes answers, the ledger, or commit order.
-  bool enable_tracing = true;
-  /// Trace ring slots (slot = request id % capacity, deterministic).
-  size_t trace_capacity = 256;
   /// Shared secret of the hello/auth exchange. Empty (the default) means
   /// the endpoint is open: hello frames succeed as no-ops and requests
   /// need no prior hello — the trusted same-host story. Non-empty means
@@ -205,8 +198,8 @@ class ServerEndpoint {
   /// record into this one). Scrape-safe from any thread.
   obs::Registry& registry() { return registry_; }
   const obs::Registry& registry() const { return registry_; }
-  /// The trace ring (null when options.enable_tracing is false).
-  obs::TraceRecorder* trace_recorder() { return traces_.get(); }
+  /// The trace ring the kTraceRequest RPC reads.
+  obs::TraceRecorder& trace_recorder() { return traces_; }
 
   /// Front-door stats: the DispatcherStats table extended with this
   /// endpoint's codec/transport counters, plus the serving report.
@@ -222,9 +215,11 @@ class ServerEndpoint {
   /// Declared before service_/dispatcher_: every layer below records
   /// into this registry, so it must outlive them all.
   obs::Registry registry_;
-  /// Null when options.enable_tracing is false; outlives the dispatcher
-  /// that publishes into it.
-  std::unique_ptr<obs::TraceRecorder> traces_;
+  /// Every served request's span tree, in a fixed ring of 256 slots
+  /// (slot = request id % 256, deterministic). Strictly out-of-transcript:
+  /// the dispatcher publishes each tree AFTER resolving the request's
+  /// promise. Outlives the dispatcher that publishes into it.
+  obs::TraceRecorder traces_{256};
   std::unique_ptr<erm::Oracle> owned_oracle_;  // null when injected
   /// Declared before service_, which holds a pointer to it.
   serve::PlanCache plan_cache_;

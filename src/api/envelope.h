@@ -218,9 +218,8 @@ struct ServingMeta {
   /// split within v1 (older decoders skip the tail): the batch's
   /// parallel-prepare wall time, this query's private oracle solve and
   /// MW-update halves, and its whole commit call. All 0 when unknown
-  /// (errors, stats polls, or a server with record_spans off). What lets
-  /// a remote harness attribute its observed tail latency to named
-  /// serving phases without a trace RPC.
+  /// (errors, stats polls). What lets a remote harness attribute its
+  /// observed tail latency to named serving phases without a trace RPC.
   uint64_t prepare_us = 0;
   uint64_t solve_us = 0;
   uint64_t mw_us = 0;

@@ -21,14 +21,11 @@
 #ifndef PMWCM_COMMON_MPSC_QUEUE_H_
 #define PMWCM_COMMON_MPSC_QUEUE_H_
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <map>
 #include <mutex>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -117,78 +114,6 @@ class MpscQueue {
         }
       }
     }
-    return true;
-  }
-
-  /// Round-robin fair variant of PopBatch: waits and lingers exactly the
-  /// same way, but instead of taking the front `max_items` FIFO it
-  /// selects up to `max_items` items by cycling over the per-key queues
-  /// (`key_fn(item)` — the dispatcher keys by analyst id), each key's
-  /// own items in FIFO order, keys ordered by first arrival. One chatty
-  /// producer can therefore claim at most ceil(max_items / #keys) slots
-  /// of a contended batch instead of all of them. Unselected items stay
-  /// queued in their original relative order. The batch lands in *out in
-  /// selection (round-robin) order — which becomes the commit order, so
-  /// transcripts stay replayable from the arrival log exactly as with
-  /// FIFO pops. Returns false only when closed and drained.
-  template <typename KeyFn>
-  bool PopBatchRoundRobin(std::vector<T>* out, size_t max_items,
-                          std::chrono::microseconds max_wait, KeyFn key_fn) {
-    PMW_CHECK_GE(max_items, size_t{1});
-    std::unique_lock<std::mutex> lock(mutex_);
-    can_pop_.wait(lock, [this] { return !items_.empty() || closed_; });
-    if (items_.empty()) return false;  // closed and fully drained
-    // Linger for the batch to fill before selecting (the selection needs
-    // the whole candidate set at once, so the fair pop defers its drain
-    // to the flush instant instead of popping eagerly like PopBatch).
-    // The fill target is capped at capacity_: a full queue can never
-    // grow further while we hold the items, so waiting for more than it
-    // can hold would burn the whole max_wait under backpressure.
-    if (max_wait > std::chrono::microseconds::zero()) {
-      const size_t fill_target = std::min(max_items, capacity_);
-      const auto deadline = std::chrono::steady_clock::now() + max_wait;
-      can_pop_.wait_until(lock, deadline, [this, fill_target] {
-        return items_.size() >= fill_target || closed_;
-      });
-    }
-    // Group item indices by key in arrival order; keys in first-arrival
-    // order. Then deal one item per key per cycle.
-    std::vector<std::vector<size_t>> per_key;
-    {
-      using Key = std::decay_t<decltype(key_fn(items_.front()))>;
-      std::map<Key, size_t> key_slot;
-      for (size_t i = 0; i < items_.size(); ++i) {
-        auto [it, inserted] = key_slot.emplace(key_fn(items_[i]),
-                                               per_key.size());
-        if (inserted) per_key.emplace_back();
-        per_key[it->second].push_back(i);
-      }
-    }
-    std::vector<size_t> selected;
-    selected.reserve(std::min(max_items, items_.size()));
-    for (size_t round = 0; selected.size() < max_items; ++round) {
-      bool any = false;
-      for (const std::vector<size_t>& indices : per_key) {
-        if (round >= indices.size()) continue;
-        any = true;
-        selected.push_back(indices[round]);
-        if (selected.size() >= max_items) break;
-      }
-      if (!any) break;
-    }
-    // Move the selection out in round-robin order; compact the remainder
-    // back into the deque preserving relative order.
-    std::vector<bool> taken(items_.size(), false);
-    for (size_t i : selected) taken[i] = true;
-    for (size_t i : selected) out->push_back(std::move(items_[i]));
-    std::deque<T> rest;
-    for (size_t i = 0; i < items_.size(); ++i) {
-      if (!taken[i]) rest.push_back(std::move(items_[i]));
-    }
-    items_.swap(rest);
-    lock.unlock();
-    // Space was freed: wake producers blocked on a full queue.
-    can_push_.notify_all();
     return true;
   }
 

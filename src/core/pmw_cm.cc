@@ -235,10 +235,8 @@ Result<PmwAnswer> PmwCm::AnswerPrepared(
     return mw_status;
   }
   ++update_count_;
-  ++mw_timing_.updates;
-  const double mw_ms = mw_timer.ElapsedMillis();
-  mw_timing_.total_ms += mw_ms;
-  last_answer_timing_.mw_us = static_cast<uint64_t>(mw_ms * 1e3);
+  last_answer_timing_.mw_us =
+      static_cast<uint64_t>(mw_timer.ElapsedSeconds() * 1e6);
   PMW_LOG(kDebug) << "pmw-cm update " << update_count_ << "/" << schedule_.T
                   << " on " << query.label;
 

@@ -92,19 +92,12 @@ struct PmwAnswer {
   bool was_update = false;
 };
 
-/// Wall-clock accounting of the MW-update path (dual-certificate payoff
-/// + sharded reweigh/renormalize), the work the domain shards
-/// parallelize. Oracle solves are excluded: they are the sequential part
-/// the shards cannot touch. Bookkeeping only — never influences answers.
-struct MwUpdateTiming {
-  long long updates = 0;
-  double total_ms = 0.0;
-};
-
 /// Wall-clock breakdown of the most recent AnswerPrepared call, reset on
 /// entry: the private oracle solve (hard rounds only) and the MW-update
-/// path. Bookkeeping only — never influences answers; the serving layer
-/// copies it into trace spans.
+/// path (dual-certificate payoff + sharded reweigh/renormalize, the work
+/// the domain shards parallelize). Bookkeeping only — never influences
+/// answers; the serving layer copies it into trace spans and its MW
+/// update histogram.
 struct AnswerTiming {
   uint64_t solve_us = 0;
   uint64_t mw_us = 0;
@@ -245,10 +238,6 @@ class PmwCm {
     return hypothesis_.shards();
   }
 
-  /// Time spent in the MW-update path (what the shards parallelize);
-  /// bench_serve_parallel's shard gate reads this.
-  const MwUpdateTiming& mw_timing() const { return mw_timing_; }
-
   /// Solve/MW breakdown of the last AnswerPrepared call (zeros on bottom
   /// answers and rejections).
   const AnswerTiming& last_answer_timing() const {
@@ -283,7 +272,6 @@ class PmwCm {
   std::unique_ptr<dp::SparseVector> sparse_vector_;
   dp::PrivacyLedger ledger_;
   Rng rng_;
-  MwUpdateTiming mw_timing_;
   AnswerTiming last_answer_timing_;
   int update_count_ = 0;
   long long queries_answered_ = 0;

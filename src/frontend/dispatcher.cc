@@ -74,15 +74,9 @@ std::future<Served> Dispatcher::Submit(
   request.deadline = deadline;
   std::future<Served> future = request.promise.get_future();
   if (request_id != nullptr) *request_id = request.id;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.submitted;
-  }
   m_.submitted->Add(1);
 
   if (shutdown_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.shutdown_rejected;
     m_.shutdown_rejected->Add(1);
     request.promise.set_value(Served(api::MakeStatus(
         api::ErrorCode::kShutdown, "frontend: dispatcher is shut down")));
@@ -94,20 +88,12 @@ std::future<Served> Dispatcher::Submit(
   if (quota_ != nullptr) {
     Status admit = quota_->Admit(analyst_id);
     if (!admit.ok()) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.quota_rejected;
-      }
       m_.quota_rejected->Add(1);
       request.promise.set_value(Served(std::move(admit)));
       return future;
     }
   }
 
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.admitted;
-  }
   request.enqueued_at = std::chrono::steady_clock::now();
   // Push moves from `request` only on success, so a close raced between
   // the shutdown check above and here still leaves us the promise to
@@ -115,17 +101,12 @@ std::future<Served> Dispatcher::Submit(
   // mechanism never saw the query, so the analyst must not stay charged).
   if (!queue_.Push(request)) {
     if (quota_ != nullptr) quota_->Refund(analyst_id);
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      --stats_.admitted;
-      ++stats_.shutdown_rejected;
-    }
     m_.shutdown_rejected->Add(1);
     request.promise.set_value(Served(api::MakeStatus(
         api::ErrorCode::kShutdown, "frontend: dispatcher is shut down")));
   } else {
     // Counters are monotonic: admitted is recorded only once the push
-    // actually stuck (the lock-held path above may revert its ++).
+    // actually stuck.
     m_.admitted->Add(1);
   }
   return future;
@@ -142,16 +123,7 @@ void Dispatcher::DispatchLoop() {
     live.clear();
     queries.clear();
     tags.clear();
-    const bool popped =
-        options_.fair_round_robin
-            ? queue_.PopBatchRoundRobin(
-                  &batch, options_.max_batch, options_.max_wait,
-                  [](const Request& request) -> const std::string& {
-                    return request.analyst_id;
-                  })
-            : queue_.PopBatch(&batch, options_.max_batch,
-                              options_.max_wait);
-    if (!popped) {
+    if (!queue_.PopBatch(&batch, options_.max_batch, options_.max_wait)) {
       return;  // closed and drained
     }
     // Deadline sweep at the last instant before serving: a request whose
@@ -180,12 +152,8 @@ void Dispatcher::DispatchLoop() {
       }
     }
     if (!expired.empty()) {
-      {
-        // Count before resolving, so an awoken waiter always observes
-        // its own expiry in stats().
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        stats_.deadline_expired += static_cast<long long>(expired.size());
-      }
+      // Count before resolving, so an awoken waiter always observes its
+      // own expiry in stats().
       m_.deadline_expired->Add(static_cast<long long>(expired.size()));
       for (Request& request : expired) {
         Served served(api::MakeStatus(
@@ -230,18 +198,10 @@ void Dispatcher::DispatchLoop() {
             .count());
     PMW_CHECK_EQ(results.size(), live.size());
     PMW_CHECK_EQ(outcomes.size(), live.size());
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.batches;
-      stats_.batch_fill.Add(static_cast<double>(live.size()));
-      for (uint64_t wait_us : queue_waits_us) {
-        stats_.queue_wait_us.Add(static_cast<double>(wait_us));
-        stats_.serve_us.Add(static_cast<double>(batch_serve_us));
-      }
-      if (options_.record_arrival_log) {
-        for (const Request& request : live) {
-          arrival_log_.push_back(request.id);
-        }
+    if (options_.record_arrival_log) {
+      std::lock_guard<std::mutex> lock(arrival_log_mutex_);
+      for (const Request& request : live) {
+        arrival_log_.push_back(request.id);
       }
     }
     m_.batches->Add(1);
@@ -303,13 +263,23 @@ void Dispatcher::Shutdown() {
 }
 
 std::vector<uint64_t> Dispatcher::ArrivalLog() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
+  if (!options_.record_arrival_log) return {};
+  std::lock_guard<std::mutex> lock(arrival_log_mutex_);
   return arrival_log_;
 }
 
 DispatcherStats Dispatcher::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
+  DispatcherStats stats;
+  stats.submitted = m_.submitted->Value();
+  stats.admitted = m_.admitted->Value();
+  stats.quota_rejected = m_.quota_rejected->Value();
+  stats.shutdown_rejected = m_.shutdown_rejected->Value();
+  stats.deadline_expired = m_.deadline_expired->Value();
+  stats.batches = m_.batches->Value();
+  stats.batch_fill = m_.batch_fill->Snap().Moments();
+  stats.queue_wait_us = m_.queue_wait_us->Snap().Moments();
+  stats.serve_us = m_.serve_us->Snap().Moments();
+  return stats;
 }
 
 AnalystSession::AnalystSession(Dispatcher* dispatcher, std::string analyst_id)

@@ -57,18 +57,11 @@ struct DispatcherOptions {
   size_t max_batch = 64;
   /// ...or this long after the first queued request, whichever is first.
   std::chrono::microseconds max_wait{500};
-  /// Per-analyst round-robin fairness in the batch-pop policy: when a
-  /// contended batch window holds more requests than max_batch, slots
-  /// are dealt one per analyst per cycle (MpscQueue::PopBatchRoundRobin)
-  /// instead of front-of-queue FIFO, so one chatty analyst cannot starve
-  /// the window. Off by default: FIFO pops are cheaper and fairness only
-  /// matters under sustained multi-analyst backpressure. Either policy
-  /// keeps transcripts replayable — the commit order IS the arrival log.
-  bool fair_round_robin = false;
   /// Record the ids of committed requests in commit order (ArrivalLog);
   /// tests replay the log through sequential PmwCm.
   bool record_arrival_log = false;
-  /// Span sink (not owned; null disables tracing). The dispatcher
+  /// Span sink (not owned). The api endpoint always passes its trace
+  /// ring; null (bare-dispatcher tests) records none. The dispatcher
   /// assembles each served request's span tree — queue wait, batch
   /// prepare, commit with its solve/MW halves, per-shard MW — and
   /// publishes it here AFTER resolving the request's promise, so
@@ -76,6 +69,9 @@ struct DispatcherOptions {
   obs::TraceRecorder* trace_recorder = nullptr;
 };
 
+/// The dispatcher's counters, as Dispatcher::stats() rebuilds them from
+/// the pmw_frontend_* instruments in the service's metrics registry (the
+/// only place they are stored).
 struct DispatcherStats {
   long long submitted = 0;
   long long admitted = 0;
@@ -96,7 +92,7 @@ struct DispatcherStats {
   /// every request in a batch shares its batch's serve time). The same
   /// numbers ride back to clients per-answer as ServingMeta
   /// queue_wait_us/serve_us; these are the aggregate moments the stats
-  /// RPC surfaces.
+  /// RPC surfaces (RunningStats views of the registry histograms).
   RunningStats queue_wait_us;
   RunningStats serve_us;
 
@@ -166,6 +162,8 @@ class Dispatcher {
   /// after Shutdown; empty unless options.record_arrival_log.
   std::vector<uint64_t> ArrivalLog() const;
 
+  /// Registry reads only: safe from any thread while serving, and never
+  /// blocks Submit or the dispatcher thread.
   DispatcherStats stats() const;
   serve::PmwService& service() { return *service_; }
 
@@ -207,8 +205,8 @@ class Dispatcher {
   std::atomic<uint64_t> next_id_{0};
   std::atomic<bool> shutdown_{false};
   std::mutex shutdown_mutex_;  // serializes Shutdown callers
-  mutable std::mutex stats_mutex_;
-  DispatcherStats stats_;
+  /// Taken only when options_.record_arrival_log is set.
+  mutable std::mutex arrival_log_mutex_;
   std::vector<uint64_t> arrival_log_;
   std::thread dispatcher_;  // last member: starts in the constructor
 };

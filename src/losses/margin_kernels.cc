@@ -274,10 +274,10 @@ bool HypercubeMarginAddGradient(const MarginLoss& link,
   const LinkKind kind = link.link_kind();
   const double param = link.link_param();
   double z_buf[kBlock];
-  double coeff_buf[kBlock];
   double* g = grad->data();
 #if PMW_MARGIN_SIMD
   if (simd::Enabled()) {
+    double coeff_buf[kBlock];
     // Register-resident accumulation over a zero-padded copy of grad;
     // the copies are exact and padding slots are discarded.
     alignas(32) double grad_padded[kMaxDim + 4] = {0.0};

@@ -198,6 +198,10 @@ double Histogram::Snapshot::Quantile(double q) const {
   return max;
 }
 
+RunningStats Histogram::Snapshot::Moments() const {
+  return RunningStats::FromMoments(count, sum, sumsq, min, max);
+}
+
 Counter* Registry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   std::unique_ptr<Counter>& slot = counters_[name];
@@ -238,12 +242,6 @@ long long Registry::CounterValue(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second->Value();
-}
-
-double Registry::GaugeValue(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0.0 : it->second->Value();
 }
 
 Histogram::Snapshot Registry::HistogramSnap(const std::string& name) const {

@@ -38,6 +38,8 @@
 #include <string>
 #include <vector>
 
+#include "common/stats.h"
+
 namespace pmw {
 namespace obs {
 
@@ -72,8 +74,8 @@ class Counter {
   Cell cells_[kCells];
 };
 
-/// Last-write-wins double value (topology knobs, totals mirrored from
-/// writer-owned accumulators). Torn-free via the bit representation.
+/// Last-write-wins double value (topology knobs, scrape-time SLO burn
+/// ratios). Torn-free via the bit representation.
 class Gauge {
  public:
   void Set(double value) {
@@ -98,8 +100,9 @@ class Gauge {
 /// chosen at registration (log-spaced via LogBuckets for latency-style
 /// metrics) and never change, so bucket counts are plain relaxed atomic
 /// adds. Alongside the buckets the histogram streams count/sum/sumsq/
-/// min/max exactly, which is what lets common::RunningStats views be
-/// reconstructed losslessly from a scrape (ServeStats re-homing).
+/// min/max exactly, which is what lets the RunningStats moments in
+/// serve::ServeStats and frontend::DispatcherStats be rebuilt from the
+/// registry alone (Snapshot::Moments).
 class Histogram {
  public:
   /// `boundaries` must be strictly increasing; bucket i counts
@@ -129,6 +132,10 @@ class Histogram {
     /// owning bucket, clamped to the observed [min, max]. Deterministic
     /// for a fixed snapshot; 0 when empty.
     double Quantile(double q) const;
+
+    /// The streamed moments as a RunningStats (RunningStats::FromMoments:
+    /// count/sum/mean/extrema exact, variance up to float rearrangement).
+    RunningStats Moments() const;
   };
   Snapshot Snap() const;
 
@@ -167,7 +174,6 @@ class Registry {
   /// Counter value by exact name; 0 when absent (scrape-side rebuilds
   /// tolerate not-yet-registered instruments).
   long long CounterValue(const std::string& name) const;
-  double GaugeValue(const std::string& name) const;
   /// Empty snapshot when absent.
   Histogram::Snapshot HistogramSnap(const std::string& name) const;
 

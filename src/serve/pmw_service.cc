@@ -93,7 +93,10 @@ std::string ServeStats::Report() const {
                        TablePrinter::FmtInt(counters.updates),
                        TablePrinter::FmtInt(counters.errors)});
     }
-    report += "\n" + analysts.ToString();
+    // Two appends, not `"\n" + ...`: GCC 12 Release builds flag the
+    // temporary's concatenation with a false-positive -Wrestrict.
+    report += '\n';
+    report += analysts.ToString();
   }
   return report;
 }
@@ -106,12 +109,10 @@ PmwService::PmwService(const data::Dataset* dataset, erm::Oracle* oracle,
                 ? std::make_unique<ThreadPool>(serve_options.num_threads)
                 : nullptr),
       executor_(pool_.get(), &cm_),
-      router_(pool_.get()),
-      record_spans_(serve_options.record_spans) {
-  stats_.threads = pool_ != nullptr ? pool_->size() : 1;
+      router_(pool_.get()) {
   // Partition the hypothesis and route its per-shard MW-update work
   // through the pool. A single shard keeps the inline (sequential) path.
-  stats_.shards = cm_.ConfigureSharding(
+  cm_.ConfigureSharding(
       serve_options.num_shards,
       serve_options.num_shards > 1 ? router_.AsRunner()
                                    : core::ShardRunner{},
@@ -149,8 +150,9 @@ PmwService::PmwService(const data::Dataset* dataset, erm::Oracle* oracle,
       registry_->GetCounter("pmw_frontend_plan_stale_dropped_total");
   m_.threads = registry_->GetGauge("pmw_serve_threads");
   m_.shards = registry_->GetGauge("pmw_serve_shards");
-  m_.mw_update_ms = registry_->GetGauge("pmw_serve_mw_update_ms");
-  m_.mw_updates = registry_->GetGauge("pmw_serve_mw_updates");
+  // 1us .. ~8.4s in x2 steps, one observation per hard round.
+  m_.mw_update_us = registry_->GetHistogram(
+      "pmw_serve_mw_update_us", obs::Histogram::LogBuckets(1.0, 2.0, 24));
   // 10us .. ~84s in x2 steps: covers sub-ms soft batches through the
   // huge_domain cold tail.
   m_.batch_latency_ms = registry_->GetHistogram(
@@ -160,8 +162,8 @@ PmwService::PmwService(const data::Dataset* dataset, erm::Oracle* oracle,
       obs::Histogram::LogBuckets(1.0, 2.0, 24));
   // Topology gauges are live immediately so a scrape before the first
   // batch already reports it.
-  m_.threads->Set(static_cast<double>(stats_.threads));
-  m_.shards->Set(static_cast<double>(stats_.shards));
+  m_.threads->Set(static_cast<double>(pool_ != nullptr ? pool_->size() : 1));
+  m_.shards->Set(static_cast<double>(cm_.num_shards()));
 }
 
 PmwService::AnalystHandles& PmwService::HandlesFor(
@@ -180,43 +182,30 @@ PmwService::AnalystHandles& PmwService::HandlesFor(
   return it->second;
 }
 
-ServeStats PmwService::stats_snapshot() const {
-  // Rebuilt wholly from registry reads — no lock shared with the writer,
-  // no per-batch copy. Each value is individually torn-free; the set may
-  // straddle a batch (the standard metrics-scrape contract).
-  const obs::Registry& reg = *registry_;
+ServeStats PmwService::stats() const {
+  // Instrument loads only: no lock shared with the writer, no per-batch
+  // copy.
   ServeStats s;
-  s.queries = reg.CounterValue("pmw_serve_queries_total");
-  s.batches = reg.CounterValue("pmw_serve_batches_total");
-  s.bottom_answers = reg.CounterValue("pmw_serve_bottom_total");
-  s.updates = reg.CounterValue("pmw_serve_updates_total");
-  s.prepare_cache_hits =
-      reg.CounterValue("pmw_serve_prepare_cache_hits_total");
-  s.errors = reg.CounterValue("pmw_serve_errors_total");
-  s.epochs = reg.CounterValue("pmw_serve_epochs_total");
-  s.reprepared = reg.CounterValue("pmw_serve_reprepared_total");
-  s.cross_batch_cache_lookups =
-      reg.CounterValue("pmw_serve_cross_batch_lookups_total");
-  s.cross_batch_cache_hits =
-      reg.CounterValue("pmw_serve_cross_batch_hits_total");
-  s.plan_cache_stale_dropped =
-      reg.CounterValue("pmw_frontend_plan_stale_dropped_total");
-  s.threads = static_cast<int>(reg.GaugeValue("pmw_serve_threads"));
-  s.shards = static_cast<int>(reg.GaugeValue("pmw_serve_shards"));
-  s.mw_update_ms = reg.GaugeValue("pmw_serve_mw_update_ms");
-  s.mw_updates =
-      static_cast<long long>(reg.GaugeValue("pmw_serve_mw_updates"));
-  const obs::Histogram::Snapshot latency =
-      reg.HistogramSnap("pmw_serve_batch_latency_ms");
-  s.batch_latency_ms = RunningStats::FromMoments(
-      latency.count, latency.sum, latency.sumsq, latency.min, latency.max);
-  const obs::Histogram::Snapshot qps =
-      reg.HistogramSnap("pmw_serve_batch_queries_per_sec");
-  s.batch_queries_per_sec =
-      RunningStats::FromMoments(qps.count, qps.sum, qps.sumsq, qps.min,
-                                qps.max);
+  s.queries = m_.queries->Value();
+  s.batches = m_.batches->Value();
+  s.bottom_answers = m_.bottom_answers->Value();
+  s.updates = m_.updates->Value();
+  s.prepare_cache_hits = m_.prepare_cache_hits->Value();
+  s.errors = m_.errors->Value();
+  s.epochs = m_.epochs->Value();
+  s.reprepared = m_.reprepared->Value();
+  s.cross_batch_cache_lookups = m_.cross_batch_cache_lookups->Value();
+  s.cross_batch_cache_hits = m_.cross_batch_cache_hits->Value();
+  s.plan_cache_stale_dropped = m_.plan_stale_dropped->Value();
+  s.threads = static_cast<int>(m_.threads->Value());
+  s.shards = static_cast<int>(m_.shards->Value());
+  s.mw_update_ms = m_.mw_update_us->Snap().sum / 1e3;
+  s.batch_latency_ms = m_.batch_latency_ms->Snap().Moments();
+  s.batch_queries_per_sec = m_.batch_queries_per_sec->Snap().Moments();
   // Labeled analyst counters fold back into the per_analyst map; name
-  // order == deterministic map order.
+  // order == deterministic map order. (The writer's handle cache is not
+  // scrape-safe, so the registry's own index is walked instead.)
+  const obs::Registry& reg = *registry_;
   const std::string kQ = "pmw_serve_analyst_queries_total{analyst=\"";
   const std::string kU = "pmw_serve_analyst_updates_total{analyst=\"";
   const std::string kE = "pmw_serve_analyst_errors_total{analyst=\"";
@@ -243,15 +232,9 @@ std::shared_ptr<const Epoch> PmwService::PublishAndPrepare(
     std::span<const convex::CmQuery> queries, size_t begin, size_t end,
     ShardExecutor::PrepareResult* prepared) {
   std::shared_ptr<const Epoch> epoch = epochs_.Publish(cm_);
-  const long long published = epochs_.epochs_published();
-  m_.epochs->Add(published - stats_.epochs);
-  stats_.epochs = published;
+  m_.epochs->Add(1);
   *prepared = executor_.PrepareRange(queries, begin, end, *epoch,
                                      plan_cache_);
-  stats_.prepare_cache_hits += prepared->cache_hits;
-  stats_.cross_batch_cache_lookups += prepared->cross_batch_lookups;
-  stats_.cross_batch_cache_hits += prepared->cross_batch_hits;
-  stats_.plan_cache_stale_dropped += prepared->cross_batch_stale;
   m_.prepare_cache_hits->Add(prepared->cache_hits);
   m_.cross_batch_cache_lookups->Add(prepared->cross_batch_lookups);
   m_.cross_batch_cache_hits->Add(prepared->cross_batch_hits);
@@ -311,32 +294,23 @@ std::vector<Result<convex::Vec>> PmwService::AnswerBatch(
     outcomes->clear();
     outcomes->resize(n);
   }
+  const int shards = cm_.num_shards();
   for (size_t j = 0; j < n; ++j) {
     const convex::CmQuery& query = queries[j];
     PMW_CHECK(query.loss != nullptr);
     PMW_CHECK(query.domain != nullptr);
-    ServeStats::AnalystCounters* analyst =
-        analyst_ids.empty() ? nullptr : &stats_.per_analyst[analyst_ids[j]];
-    AnalystHandles* analyst_metrics =
+    AnalystHandles* analyst =
         analyst_ids.empty() ? nullptr : &HandlesFor(analyst_ids[j]);
-    if (analyst != nullptr) {
-      ++analyst->queries;
-      analyst_metrics->queries->Add(1);
-    }
+    if (analyst != nullptr) analyst->queries->Add(1);
     QueryOutcome* outcome = outcomes != nullptr ? &(*outcomes)[j] : nullptr;
     if (outcome != nullptr) outcome->epoch = cm_.hypothesis_version();
-    const bool spans = record_spans_ && outcome != nullptr;
 
     if (cm_.WillReject()) {
       Result<core::PmwAnswer> rejected =
           cm_.AnswerPrepared(query, core::PreparedQuery{});
       PMW_CHECK(!rejected.ok());
-      ++stats_.errors;
       m_.errors->Add(1);
-      if (analyst != nullptr) {
-        ++analyst->errors;
-        analyst_metrics->errors->Add(1);
-      }
+      if (analyst != nullptr) analyst->errors->Add(1);
       results.push_back(rejected.status());
       continue;
     }
@@ -351,36 +325,30 @@ std::vector<Result<convex::Vec>> PmwService::AnswerBatch(
     if (outcome != nullptr && epoch != nullptr) {
       outcome->cache_hit = prepared.plan_from_cache[plan_slot] != 0;
     }
-    if (spans && stats_.shards > 1) router_.ResetWindow(stats_.shards);
+    if (outcome != nullptr && shards > 1) router_.ResetWindow(shards);
     WallTimer commit_timer;
     Result<core::PmwAnswer> answer = cm_.AnswerPrepared(
         query, plan, epoch != nullptr ? epoch->snapshot.get() : nullptr);
-    if (spans) {
+    if (outcome != nullptr) {
       outcome->commit_us =
           static_cast<uint64_t>(commit_timer.ElapsedSeconds() * 1e6);
       outcome->solve_us = cm_.last_answer_timing().solve_us;
       outcome->mw_us = cm_.last_answer_timing().mw_us;
+      outcome->epoch = cm_.hypothesis_version();
     }
-    if (outcome != nullptr) outcome->epoch = cm_.hypothesis_version();
     if (!answer.ok()) {
-      ++stats_.errors;
       m_.errors->Add(1);
-      if (analyst != nullptr) {
-        ++analyst->errors;
-        analyst_metrics->errors->Add(1);
-      }
+      if (analyst != nullptr) analyst->errors->Add(1);
       results.push_back(answer.status());
       continue;
     }
     if (answer.value().was_update) {
-      ++stats_.updates;
       m_.updates->Add(1);
-      if (analyst != nullptr) {
-        ++analyst->updates;
-        analyst_metrics->updates->Add(1);
-      }
+      m_.mw_update_us->Observe(
+          static_cast<double>(cm_.last_answer_timing().mw_us));
+      if (analyst != nullptr) analyst->updates->Add(1);
       if (outcome != nullptr) outcome->hard_round = true;
-      if (spans && stats_.shards > 1) {
+      if (outcome != nullptr && shards > 1) {
         const std::vector<uint64_t>& window = router_.WindowShardUs();
         outcome->shard_us.reserve(window.size());
         for (uint64_t us : window) {
@@ -399,11 +367,9 @@ std::vector<Result<convex::Vec>> PmwService::AnswerBatch(
         batch_prepare_us +=
             static_cast<uint64_t>(prepare_timer.ElapsedSeconds() * 1e6);
         prepared_begin = j + 1;
-        stats_.reprepared += static_cast<long long>(prepared.plans.size());
         m_.reprepared->Add(static_cast<long long>(prepared.plans.size()));
       }
     } else {
-      ++stats_.bottom_answers;
       m_.bottom_answers->Add(1);
     }
     results.push_back(std::move(answer.value().theta));
@@ -411,28 +377,20 @@ std::vector<Result<convex::Vec>> PmwService::AnswerBatch(
 
   // Prepare ran batch-wide (one fan-out per epoch), so its cost is a
   // batch-level span — the same shape as the dispatcher's serve_us.
-  if (outcomes != nullptr && record_spans_) {
+  if (outcomes != nullptr) {
     for (QueryOutcome& outcome : *outcomes) {
       outcome.prepare_us = batch_prepare_us;
     }
   }
 
-  double elapsed_ms = timer.ElapsedMillis();
-  ++stats_.batches;
-  stats_.queries += static_cast<long long>(n);
-  stats_.batch_latency_ms.Add(elapsed_ms);
+  const double elapsed_ms = timer.ElapsedMillis();
   m_.batches->Add(1);
   m_.queries->Add(static_cast<long long>(n));
   m_.batch_latency_ms->Observe(elapsed_ms);
   if (elapsed_ms > 0.0 && n > 0) {
     const double qps = static_cast<double>(n) / (elapsed_ms / 1e3);
-    stats_.batch_queries_per_sec.Add(qps);
     m_.batch_queries_per_sec->Observe(qps);
   }
-  stats_.mw_update_ms = cm_.mw_timing().total_ms;
-  stats_.mw_updates = cm_.mw_timing().updates;
-  m_.mw_update_ms->Set(stats_.mw_update_ms);
-  m_.mw_updates->Set(static_cast<double>(stats_.mw_updates));
   return results;
 }
 

@@ -82,10 +82,6 @@ struct ServeOptions {
   /// embedded/test configuration. The api endpoint passes its own so one
   /// registry spans serve + frontend + transport.
   obs::Registry* registry = nullptr;
-  /// Record per-query span timings (prepare/solve/mw/commit + per-shard
-  /// MW) into QueryOutcome. Pure bookkeeping — never influences answers
-  /// or transcripts; off saves a few clock reads per commit.
-  bool record_spans = true;
   /// Multi-host serving: a hypothesis delegate (cluster::Combiner) that
   /// moves the per-shard MW phases to shard-group worker processes. Not
   /// owned; must outlive the service and already be Connect()ed with
@@ -96,9 +92,10 @@ struct ServeOptions {
   core::HypothesisDelegate* hypothesis_delegate = nullptr;
 };
 
-/// Serving counters. Latency/throughput moments use common/stats.h's
-/// RunningStats; totals are plain counters (only the serving writer
-/// mutates them, so no atomics).
+/// Serving counters, as PmwService::stats() rebuilds them from the
+/// service's metrics registry (the only place they are stored).
+/// Latency/throughput moments are common/stats.h RunningStats views of
+/// the registry histograms.
 struct ServeStats {
   /// Per-analyst slice of the counters, keyed by the tags a front-end
   /// passes to AnswerBatch (empty when serving untagged traffic).
@@ -125,8 +122,8 @@ struct ServeStats {
   long long prepare_cache_hits = 0;
   /// Error statuses returned to clients (halted / budget exhausted).
   long long errors = 0;
-  /// Epochs published (one per batch start + one per mid-batch update).
-  /// Mirrors EpochState::epochs_published(), the authoritative counter.
+  /// Epochs published (one per batch start + one per mid-batch update);
+  /// equals EpochState::epochs_published().
   long long epochs = 0;
   /// Distinct plans recomputed in parallel after a mid-batch epoch
   /// advance (repeats of an already-recomputed query are cache hits).
@@ -143,11 +140,11 @@ struct ServeStats {
   int threads = 1;
   /// Domain shards the hypothesis is partitioned into (after clamping).
   int shards = 1;
-  /// MW-update-path wall time (payoff + reweigh/renormalize, the work
-  /// the domain shards parallelize; oracle solves excluded) and the
-  /// hard rounds it covers. Mirrors core::MwUpdateTiming.
+  /// MW-update-path wall time summed over every hard round (payoff +
+  /// reweigh/renormalize, the work the domain shards parallelize; oracle
+  /// solves excluded): the sum of the pmw_serve_mw_update_us histogram,
+  /// which observes core::AnswerTiming::mw_us once per hard round.
   double mw_update_ms = 0.0;
-  long long mw_updates = 0;
   /// Per-analyst counters (populated by the tagged AnswerBatch overload).
   std::map<std::string, AnalystCounters> per_analyst;
 
@@ -181,7 +178,7 @@ struct QueryOutcome {
   bool hard_round = false;
   /// True when the query's plan was served from the cross-batch cache.
   bool cache_hit = false;
-  /// Span timings (ServeOptions::record_spans; zeros when off). All
+  /// Span timings, recorded whenever outcomes are requested. All
   /// bookkeeping — never influence answers. prepare_us is the batch's
   /// total parallel-prepare wall time (batch-level, like the dispatcher's
   /// serve_us); the rest are this query's own commit breakdown.
@@ -243,16 +240,11 @@ class PmwService {
 
   core::PmwCm& mechanism() { return cm_; }
   const core::PmwCm& mechanism() const { return cm_; }
-  /// Live counters — single-writer state: read only from the serving
-  /// thread or after serving quiesces. Remote scrapers use
-  /// stats_snapshot().
-  const ServeStats& stats() const { return stats_; }
-  /// A ServeStats view rebuilt purely from registry reads — safe from
-  /// any thread while the writer keeps serving (the stats RPC), never
-  /// blocks the writer, and costs no per-batch struct copy. Latency
-  /// moments come back through RunningStats::FromMoments, so mean/sum
-  /// are exact and variance matches up to float rearrangement.
-  ServeStats stats_snapshot() const;
+  /// The serving counters, rebuilt from registry reads alone — safe from
+  /// any thread while the writer keeps serving (the stats RPC) and never
+  /// blocks it. Each value is torn-free; the set may straddle a batch
+  /// (the metrics-scrape contract). Exact once serving quiesces.
+  ServeStats stats() const;
   /// The metrics registry the service records into (its own unless
   /// ServeOptions::registry injected one). Scrape-safe from any thread.
   obs::Registry& registry() { return *registry_; }
@@ -266,9 +258,9 @@ class PmwService {
 
  private:
   /// Publishes a fresh epoch and prepares queries[begin, end) against it,
-  /// folding executor counters into stats_ and the registry. Returns the
-  /// epoch; `*prepared` receives the deduplicated plans + position index
-  /// for the range.
+  /// folding executor counters into the registry. Returns the epoch;
+  /// `*prepared` receives the deduplicated plans + position index for
+  /// the range.
   std::shared_ptr<const Epoch> PublishAndPrepare(
       std::span<const convex::CmQuery> queries, size_t begin, size_t end,
       ShardExecutor::PrepareResult* prepared);
@@ -289,8 +281,7 @@ class PmwService {
     obs::Counter* plan_stale_dropped = nullptr;
     obs::Gauge* threads = nullptr;
     obs::Gauge* shards = nullptr;
-    obs::Gauge* mw_update_ms = nullptr;
-    obs::Gauge* mw_updates = nullptr;
+    obs::Histogram* mw_update_us = nullptr;
     obs::Histogram* batch_latency_ms = nullptr;
     obs::Histogram* batch_queries_per_sec = nullptr;
   };
@@ -310,7 +301,6 @@ class PmwService {
   /// into cm_ as its ShardRunner when num_shards > 1.
   ShardRouter router_;
   EpochState epochs_;
-  ServeStats stats_;
   /// Owned fallback when ServeOptions::registry is null; registry_
   /// always points at the live one.
   std::unique_ptr<obs::Registry> owned_registry_;
@@ -318,7 +308,6 @@ class PmwService {
   Instruments m_;
   /// Writer-local: only the serving thread touches the handle cache.
   std::map<std::string, AnalystHandles> analyst_handles_;
-  bool record_spans_ = true;
   PlanCache* plan_cache_ = nullptr;  // not owned
 };
 

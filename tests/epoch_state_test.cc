@@ -146,7 +146,7 @@ TEST_F(EpochStateTest, EpochsAdvanceMonotonicallyAcrossMidBatchUpdates) {
   // One publish per batch start plus one per mid-batch update (an update
   // on a batch's last query has no suffix to re-prepare), so publishes
   // dominate both counters.
-  const ServeStats& stats = service.stats();
+  const ServeStats stats = service.stats();
   EXPECT_GE(service.epochs().epochs_published(), stats.batches);
   EXPECT_GE(service.epochs().epochs_published(), stats.updates);
   EXPECT_EQ(stats.epochs, service.epochs().epochs_published());

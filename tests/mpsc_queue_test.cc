@@ -64,60 +64,6 @@ TEST(MpscQueueTest, TryPushReportsFullAndLeavesItemIntact) {
   EXPECT_EQ(*c, 3);
 }
 
-TEST(MpscQueueTest, RoundRobinPopDealsOneSlotPerKeyPerCycle) {
-  // A chatty producer ("a") floods the queue ahead of two quieter ones;
-  // a fair pop of 6 must deal slots a,b,c,a,b,a — not hand "a" the whole
-  // window like FIFO would.
-  MpscQueue<std::pair<char, int>> queue(32);
-  const std::vector<std::pair<char, int>> arrivals = {
-      {'a', 0}, {'a', 1}, {'a', 2}, {'a', 3}, {'b', 0},
-      {'c', 0}, {'a', 4}, {'b', 1}, {'a', 5}};
-  for (auto arrival : arrivals) {
-    ASSERT_TRUE(queue.Push(arrival));
-  }
-
-  std::vector<std::pair<char, int>> out;
-  ASSERT_TRUE(queue.PopBatchRoundRobin(
-      &out, 6, microseconds(0),
-      [](const std::pair<char, int>& item) { return item.first; }));
-  const std::vector<std::pair<char, int>> want = {
-      {'a', 0}, {'b', 0}, {'c', 0}, {'a', 1}, {'b', 1}, {'a', 2}};
-  ASSERT_EQ(out.size(), want.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(out[i], want[i]) << i;
-  }
-
-  // The unselected items stay queued in their original relative order.
-  EXPECT_EQ(queue.size(), 3u);
-  std::vector<std::pair<char, int>> rest;
-  ASSERT_TRUE(queue.PopBatchRoundRobin(
-      &rest, 100, microseconds(0),
-      [](const std::pair<char, int>& item) { return item.first; }));
-  const std::vector<std::pair<char, int>> want_rest = {
-      {'a', 3}, {'a', 4}, {'a', 5}};
-  ASSERT_EQ(rest.size(), want_rest.size());
-  for (size_t i = 0; i < want_rest.size(); ++i) {
-    EXPECT_EQ(rest[i], want_rest[i]) << i;
-  }
-}
-
-TEST(MpscQueueTest, RoundRobinPopDrainsAndSignalsCloseLikeFifo) {
-  MpscQueue<std::pair<char, int>> queue(8);
-  std::pair<char, int> item{'z', 1};
-  ASSERT_TRUE(queue.Push(item));
-  queue.Close();
-  std::vector<std::pair<char, int>> out;
-  // Closed but not drained: the queued item still comes out...
-  ASSERT_TRUE(queue.PopBatchRoundRobin(
-      &out, 4, microseconds(50),
-      [](const std::pair<char, int>& i) { return i.first; }));
-  ASSERT_EQ(out.size(), 1u);
-  // ...then the drain completes.
-  EXPECT_FALSE(queue.PopBatchRoundRobin(
-      &out, 4, microseconds(0),
-      [](const std::pair<char, int>& i) { return i.first; }));
-}
-
 TEST(MpscQueueTest, CloseDrainsThenSignalsDone) {
   MpscQueue<int> queue(8);
   for (int i = 0; i < 3; ++i) {

@@ -249,7 +249,7 @@ TEST(ServeParallelTest, EpochAdvancesWithUpdatesAndBatches) {
                      serve_options);
   service.AnswerBatch(workload);
 
-  const ServeStats& stats = service.stats();
+  const ServeStats stats = service.stats();
   EXPECT_EQ(stats.threads, 2);
   // One publish at batch start plus one per mid-batch update (except an
   // update on the very last query, which has no suffix to re-prepare).
@@ -284,7 +284,7 @@ TEST(ServeParallelTest, ShardCacheStillAmortizesRepeats) {
 
   // Dedup precedes sharding: at most 4 distinct plans are computed per
   // epoch regardless of thread count; everything else must be a hit.
-  const ServeStats& stats = service.stats();
+  const ServeStats stats = service.stats();
   long long epochs = stats.epochs;
   EXPECT_GE(stats.prepare_cache_hits, 64 - 4 * epochs);
   EXPECT_GT(stats.prepare_cache_hits, 0);

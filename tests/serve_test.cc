@@ -137,7 +137,7 @@ TEST_F(ServeTest, BatchAmortizesRepeatedQueries) {
   std::vector<Result<convex::Vec>> results = service.AnswerBatch(workload);
 
   ASSERT_EQ(results.size(), workload.size());
-  const ServeStats& stats = service.stats();
+  const ServeStats stats = service.stats();
   EXPECT_EQ(stats.queries, 64);
   EXPECT_EQ(stats.batches, 1);
   // With 4 distinct queries and no mid-batch update, at most
