@@ -7,7 +7,7 @@ produced by this repo's benches:
   * scenario files (bench_scenarios): carry `scenario`, `goodput_qps`,
     and an `slo` verdict. The SLO must hold unconditionally; goodput is
     compared against the baseline only when the candidate ran on the
-    same number of cores the baseline recorded (`env.cores`) --
+    same number of cores the baseline recorded (see bucket_cores) --
     baselines generated on a 1-core dev box say nothing about the
     4-vCPU nightly runner's throughput, and vice versa.
   * sweep files (bench_serve_parallel): carry `bench` and a
@@ -23,7 +23,11 @@ baseline is reported but passes (new scenarios land before their first
 baseline).
 
 Baselines live either flat in --baseline-dir (legacy) or bucketed under
-cores-<N>/ subdirectories keyed by the recorded `env.cores`. Lookup
+cores-<N>/ subdirectories. N is the file's effective core count:
+round(env.effective_cores) clamped to [1, env.cores] when the
+effective-core probe (bench/workload/cores.h) recorded one, else
+env.cores (nproc) for files that predate the probe. A 4-vCPU box that
+delivers ~1 core therefore lands in cores-1/, not cores-4/. Lookup
 prefers cores-<candidate cores>/<name> and falls back to the flat file;
 the missing-candidate sweep only inspects the flat files plus the
 subdirectories matching the cores the candidates actually ran on, so a
@@ -43,7 +47,7 @@ keying or fingerprint bug regresses there first.
 
 Promoting a baseline: download the BENCH json artifacts from a green
 nightly run and feed them to bench/promote_baselines.py, which buckets
-them into bench/baselines/cores-<N>/ by their recorded `env.cores`;
+them into bench/baselines/cores-<N>/ with the same bucket_cores rule;
 commit the result. The cores travel with each file, so future
 comparisons stay apples to apples.
 """
@@ -57,6 +61,20 @@ import sys
 def load(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def bucket_cores(doc):
+    """The cores-<N>/ bucket of a BENCH file: its effective core count.
+
+    round(env.effective_cores) clamped to [1, env.cores] when the probe
+    recorded it; env.cores as-is (None when absent) otherwise.
+    """
+    env = doc.get("env", {})
+    cores = env.get("cores")
+    effective = env.get("effective_cores")
+    if isinstance(cores, int) and isinstance(effective, (int, float)):
+        return min(max(round(effective), 1), cores)
+    return cores
 
 
 def metric_of(doc):
@@ -196,7 +214,7 @@ def main():
     for path in candidates:
         doc = load(path)
         name = path.name
-        cand_cores = doc.get("env", {}).get("cores")
+        cand_cores = bucket_cores(doc)
         cores_seen.add(cand_cores)
         if "scenario" in doc:
             cand_cores_by_name[doc["scenario"]] = cand_cores
@@ -216,7 +234,7 @@ def main():
             continue
         base = load(base_path)
 
-        base_cores = base.get("env", {}).get("cores")
+        base_cores = bucket_cores(base)
         if base_cores != cand_cores:
             print(
                 f"{name}: cores mismatch (baseline {base_cores}, "

@@ -3,8 +3,10 @@
 
 Stdlib only. Feed it the artifact directory downloaded from a green
 nightly run (or a local --out-dir/--json-dir); each file is copied into
-bench/baselines/cores-<N>/ where N is the file's recorded `env.cores`,
-which is the bucketing check_regression.py reads back. Files that carry
+bench/baselines/cores-<N>/ where N is the file's effective core count
+(check_regression.bucket_cores: round(env.effective_cores) clamped to
+[1, env.cores], or env.cores for files that predate the probe), which is
+the bucketing check_regression.py reads back. Files that carry
 a failing `slo` verdict are refused -- a breached run must never become
 the bar future runs are judged against -- unless --allow-slo-breach is
 given (useful when promoting a deliberately loosened scenario).
@@ -22,6 +24,8 @@ import json
 import pathlib
 import shutil
 import sys
+
+from check_regression import bucket_cores
 
 
 def main():
@@ -68,7 +72,7 @@ def main():
                     "override)"
                 )
                 continue
-            dest_dir = baseline_dir / f"cores-{cores}"
+            dest_dir = baseline_dir / f"cores-{bucket_cores(doc)}"
             dest_dir.mkdir(parents=True, exist_ok=True)
             dest = dest_dir / path.name
             shutil.copyfile(path, dest)

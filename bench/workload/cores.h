@@ -18,7 +18,8 @@ namespace workload {
 
 /// The measured parallelism in [1, hardware_concurrency()]. Probed once
 /// per process (well under a second) and cached. `env.cores` keeps
-/// recording hardware_concurrency(), which baselines are bucketed by.
+/// recording hardware_concurrency(); baselines are bucketed by this
+/// value, rounded and clamped to [1, env.cores].
 double EffectiveCores();
 
 }  // namespace workload

@@ -70,8 +70,13 @@ StatusCode LegacyCode(ErrorCode code) {
 
 Status MakeStatus(ErrorCode code, const std::string& detail) {
   if (code == ErrorCode::kOk) return Status::Ok();
-  return Status(LegacyCode(code),
-                "[" + std::string(ErrorCodeName(code)) + "] " + detail);
+  // Appends, not `"[" + ...`: GCC 12 Release builds flag the temporaries'
+  // concatenation with a false-positive -Wrestrict.
+  std::string message = "[";
+  message += ErrorCodeName(code);
+  message += "] ";
+  message += detail;
+  return Status(LegacyCode(code), message);
 }
 
 namespace {

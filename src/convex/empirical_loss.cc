@@ -1,6 +1,6 @@
 #include "convex/empirical_loss.h"
 
-#include <map>
+#include <vector>
 
 #include "common/check.h"
 
@@ -73,35 +73,28 @@ Vec SupportObjective::Gradient(const Vec& theta) const {
   return grad;
 }
 
+namespace {
+
+data::HistogramSupport WeightedRows(const data::Dataset* dataset) {
+  PMW_CHECK(dataset != nullptr);
+  std::vector<int> counts(static_cast<size_t>(dataset->universe().size()), 0);
+  for (int index : dataset->indices()) ++counts[static_cast<size_t>(index)];
+  const double inv_n = 1.0 / static_cast<double>(dataset->n());
+  data::HistogramSupport rows;
+  for (size_t index = 0; index < counts.size(); ++index) {
+    if (counts[index] > 0) {
+      rows.emplace_back(static_cast<int>(index), counts[index] * inv_n);
+    }
+  }
+  return rows;
+}
+
+}  // namespace
+
 DatasetObjective::DatasetObjective(const LossFunction* loss,
                                    const data::Dataset* dataset)
-    : loss_(loss), dataset_(dataset) {
-  PMW_CHECK(loss != nullptr);
-  PMW_CHECK(dataset != nullptr);
-  std::map<int, int> counts;
-  for (int i = 0; i < dataset->n(); ++i) counts[dataset->index(i)] += 1;
-  double inv_n = 1.0 / static_cast<double>(dataset->n());
-  weighted_rows_.reserve(counts.size());
-  for (const auto& [index, count] : counts) {
-    weighted_rows_.emplace_back(index, count * inv_n);
-  }
-}
-
-double DatasetObjective::Value(const Vec& theta) const {
-  double acc = 0.0;
-  for (const auto& [index, weight] : weighted_rows_) {
-    acc += weight * loss_->Value(theta, dataset_->universe().row(index));
-  }
-  return acc;
-}
-
-Vec DatasetObjective::Gradient(const Vec& theta) const {
-  Vec grad = Zeros(loss_->dim());
-  for (const auto& [index, weight] : weighted_rows_) {
-    loss_->AddGradient(theta, dataset_->universe().row(index), weight, &grad);
-  }
-  return grad;
-}
+    : weighted_rows_(WeightedRows(dataset)),
+      rows_(loss, &dataset->universe(), &weighted_rows_) {}
 
 PerturbedObjective::PerturbedObjective(const Objective* base, Vec linear_term,
                                        double quadratic_mu,

@@ -60,20 +60,29 @@ class SupportObjective : public Objective {
   const data::HistogramSupport* support_;
 };
 
-/// l_D(theta) for a dataset: f(theta) = (1/n) sum_i l(theta; x_i). Evaluated
-/// through per-universe-row counts, so repeated rows cost nothing extra.
+/// l_D(theta) for a dataset: f(theta) = (1/n) sum_i l(theta; x_i).
+/// Construction counts records per universe row in one dense pass and
+/// keeps the used rows as (index, count * (1/n)) in ascending index
+/// order, so repeated rows cost nothing extra. Evaluation is
+/// SupportObjective's over those rows (batched kernels when the loss
+/// claims them, else the per-row loop), which sums the same terms in the
+/// same order.
 class DatasetObjective : public Objective {
  public:
   DatasetObjective(const LossFunction* loss, const data::Dataset* dataset);
+  // rows_ points into weighted_rows_, so a copy would dangle.
+  DatasetObjective(const DatasetObjective&) = delete;
+  DatasetObjective& operator=(const DatasetObjective&) = delete;
 
-  int dim() const override { return loss_->dim(); }
-  double Value(const Vec& theta) const override;
-  Vec Gradient(const Vec& theta) const override;
+  int dim() const override { return rows_.dim(); }
+  double Value(const Vec& theta) const override { return rows_.Value(theta); }
+  Vec Gradient(const Vec& theta) const override {
+    return rows_.Gradient(theta);
+  }
 
  private:
-  const LossFunction* loss_;
-  const data::Dataset* dataset_;
-  std::vector<std::pair<int, double>> weighted_rows_;  // (index, weight)
+  data::HistogramSupport weighted_rows_;  // (index, count * (1/n))
+  SupportObjective rows_;
 };
 
 /// f(theta) + <b, theta> + (mu/2)||theta - center||^2; the decorated

@@ -122,16 +122,26 @@ PreparedQuery PmwCm::Prepare(const convex::CmQuery& query) const {
 }
 
 PreparedQuery PmwCm::Prepare(const convex::CmQuery& query,
-                             const HypothesisSnapshot& snapshot) const {
+                             const HypothesisSnapshot& snapshot,
+                             const PreparedQuery* earlier) const {
   PMW_CHECK(query.loss != nullptr);
   PMW_CHECK(query.domain != nullptr);
 
   PreparedQuery prepared;
   // theta_hat_t = argmin over the public hypothesis (no privacy cost).
   prepared.theta_hat = error_oracle_.Minimize(query, snapshot.support);
-  // q_j(D) = err_l(D, D_hat_t) = l_D(theta_hat) - min l_D.
-  prepared.query_value =
-      error_oracle_.AnswerError(query, data_support_, prepared.theta_hat);
+  // min l_D never depends on the hypothesis: an earlier plan of this
+  // query holds the very bits the solve would return.
+  prepared.data_min =
+      earlier != nullptr && !std::isnan(earlier->data_min)
+          ? earlier->data_min
+          : error_oracle_.MinimumValue(query, data_support_);
+  // q_j(D) = err_l(D, D_hat_t) = l_D(theta_hat) - min l_D, clamped at 0
+  // in ErrorOracle::AnswerError's operation order.
+  const double excess =
+      error_oracle_.Loss(query, data_support_, prepared.theta_hat) -
+      prepared.data_min;
+  prepared.query_value = std::max(excess, 0.0);
   prepared.hypothesis_version = snapshot.version;
   return prepared;
 }

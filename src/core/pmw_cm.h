@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 
 #include "common/random.h"
@@ -121,6 +122,11 @@ struct HypothesisSnapshot {
 struct PreparedQuery {
   convex::Vec theta_hat;
   double query_value = 0.0;
+  /// min_theta l_D(theta), the dataset side of q_j(D). It depends only on
+  /// the query and the dataset, never on the hypothesis, so it outlives
+  /// the plan's version: PmwCm::Prepare takes it from an earlier plan of
+  /// the same query instead of solving again. NaN when not computed.
+  double data_min = std::numeric_limits<double>::quiet_NaN();
   /// The snapshot version this plan was computed against. Defaults to -1
   /// (never a real version) so a default-constructed plan is always
   /// treated as stale and recomputed, never trusted.
@@ -154,6 +160,14 @@ class PmwCm {
   /// against a stale snapshot yields a plan AnswerPrepared will recompute
   /// rather than trust.
   ///
+  /// The hypothesis side (theta_hat_t = argmin l_{D_hat_t}) is solved on
+  /// every call. The data side (min l_D) is solved only when `earlier` is
+  /// null or its data_min is NaN; otherwise earlier->data_min is reused.
+  /// The caller vouches that `earlier` was prepared for this same query
+  /// by this mechanism (at any version) — serve::PlanCache's key pins
+  /// exactly that. Reuse returns the bits a fresh solve would, so the
+  /// plan is identical either way.
+  ///
   /// Thread safety: Prepare draws no randomness and touches only state
   /// that is immutable after construction (the error oracle, the data
   /// support) plus the caller-supplied snapshot, so any number of threads
@@ -163,11 +177,13 @@ class PmwCm {
   /// is any concurrent call to AnswerPrepared itself (single writer).
   PreparedQuery Prepare(const convex::CmQuery& query) const;
   PreparedQuery Prepare(const convex::CmQuery& query,
-                        const HypothesisSnapshot& snapshot) const;
+                        const HypothesisSnapshot& snapshot,
+                        const PreparedQuery* earlier = nullptr) const;
 
   /// Answers using a precomputed PreparedQuery. If `prepared` was computed
-  /// at an older hypothesis_version() it is ignored and recomputed, so a
-  /// stale cache costs time, never correctness. A non-null
+  /// at an older hypothesis_version() it is ignored and recomputed in
+  /// full (its data_min is not borrowed either), so a stale or mismatched
+  /// plan costs time, never correctness. A non-null
   /// `current_snapshot` at the live version serves that recompute without
   /// a fresh compaction pass (the serving layer always has one in hand);
   /// a stale or null one falls back to snapshotting internally.

@@ -134,7 +134,10 @@ convex::CmQuery LinearQueryFamily::Next(Rng* rng) {
   }
   std::string query_name = "conj(";
   for (size_t i = 0; i < coords.size(); ++i) {
-    query_name += (signs[i] == 1 ? "+" : "-") + std::to_string(coords[i]);
+    // Two appends, not `sign + std::to_string(...)`: GCC 12 Release builds
+    // flag the temporary's concatenation with a false-positive -Wrestrict.
+    query_name += signs[i] == 1 ? '+' : '-';
+    query_name += std::to_string(coords[i]);
   }
   if (label_constraint != 0) {
     query_name += label_constraint == 1 ? "|y+" : "|y-";

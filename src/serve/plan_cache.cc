@@ -10,6 +10,9 @@ PlanCache::Probe PlanCache::Lookup(const QueryKey& key,
   if (it == entries_.end()) return Probe::kMiss;
   const Entry& entry = it->second;
   if (entry.shard_set != stamp.shard_set || entry.content != stamp.content) {
+    // The hypothesis side moved on; the data side is a function of the
+    // key's query alone, so the recompute may skip its solve.
+    plan->data_min = entry.plan.data_min;
     entries_.erase(it);
     return Probe::kStale;
   }

@@ -8,7 +8,9 @@
 // change the transcript. The one field Prepare takes from the version
 // rather than the bytes, the plan's hypothesis_version, is rewritten to
 // the probing stamp's version on every hit, after which plan and
-// recompute agree byte for byte.
+// recompute agree byte for byte. A stale entry still lends its data_min
+// (min l_D) to the recompute: that value is a function of the query and
+// the mechanism's dataset alone, so one cache must serve one mechanism.
 //
 // Lifetime contract: keys are the loss/domain pointers of QueryKey, so
 // the cache extends the repo's pointer-identity convention ("families own
@@ -74,7 +76,11 @@ class PlanCache {
   };
 
   /// On kHit copies the cached plan into `*plan`, restamped to
-  /// `stamp.version`; otherwise leaves `*plan` untouched.
+  /// `stamp.version`. On kStale copies only the entry's data_min (min l_D,
+  /// which depends on the key's query and the dataset, not the epoch)
+  /// into `*plan` before dropping the entry, so the caller's re-prepare
+  /// can pass `*plan` as PmwCm::Prepare's `earlier` and skip the data-side
+  /// solve. On kMiss leaves `*plan` untouched.
   Probe Lookup(const QueryKey& key, const PlanStamp& stamp,
                core::PreparedQuery* plan);
 

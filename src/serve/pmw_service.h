@@ -235,7 +235,8 @@ class PmwService {
   /// Attaches a cross-batch plan cache (not owned; must outlive the
   /// service's last batch). The service probes it during every prepare
   /// phase, extending the intra-batch dedup across the whole request
-  /// stream. Set before serving starts.
+  /// stream, and re-prepares stale entries without re-solving min l_D.
+  /// A cache serves this one service only. Set before serving starts.
   void set_plan_cache(PlanCache* cache) { plan_cache_ = cache; }
 
   core::PmwCm& mechanism() { return cm_; }

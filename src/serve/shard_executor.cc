@@ -21,7 +21,9 @@ void ShardExecutor::PrepareShard(std::span<const convex::CmQuery> queries,
                                  core::PreparedQuery* plans) const {
   for (size_t u = lo; u < hi; ++u) {
     const size_t slot = slots[u];
-    plans[slot] = cm_->Prepare(queries[positions[slot]], *epoch.snapshot);
+    // A stale cache probe left the entry's data_min in the slot.
+    plans[slot] = cm_->Prepare(queries[positions[slot]], *epoch.snapshot,
+                               &plans[slot]);
   }
 }
 

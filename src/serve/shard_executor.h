@@ -72,8 +72,9 @@ class ShardExecutor {
   /// Prepares queries[begin, end) against `epoch`'s snapshot, fanning the
   /// distinct queries out across the pool. Blocks until every shard
   /// finishes. A non-null `cache` is probed per distinct query before any
-  /// solver runs (hits skip computation entirely) and fed every fresh
-  /// plan after the shards join — both on the calling thread.
+  /// solver runs (hits skip computation entirely; a stale entry lends its
+  /// data_min, so the recompute solves only the hypothesis side) and fed
+  /// every fresh plan after the shards join — both on the calling thread.
   PrepareResult PrepareRange(std::span<const convex::CmQuery> queries,
                              size_t begin, size_t end, const Epoch& epoch,
                              PlanCache* cache = nullptr) const;
@@ -81,9 +82,9 @@ class ShardExecutor {
  private:
   /// Prepares the cache-missed queries whose plan slots are
   /// slots[lo, hi): plans[slots[u]] receives the plan for
-  /// queries[positions[slots[u]]]. Runs on a worker (or inline). Reads
-  /// only const state: the mechanism's Prepare path and the epoch
-  /// snapshot.
+  /// queries[positions[slots[u]]], passing the slot's current contents
+  /// as Prepare's `earlier`. Runs on a worker (or inline). Reads only
+  /// const state: the mechanism's Prepare path and the epoch snapshot.
   void PrepareShard(std::span<const convex::CmQuery> queries,
                     const std::vector<size_t>& positions,
                     const std::vector<size_t>& slots, size_t lo, size_t hi,

@@ -3,7 +3,9 @@
 // offline variant, the composition baseline, and the accuracy game.
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include "common/random.h"
 #include "core/accuracy_game.h"
@@ -170,6 +172,53 @@ TEST_F(CoreTest, LedgerMatchesUpdateCount) {
                   mechanism.update_count() *
                       mechanism.schedule().oracle_budget.epsilon,
               1e-9);
+}
+
+TEST_F(CoreTest, PrepareReusesEarlierDataMinBitExactly) {
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  erm::NonPrivateOracle oracle;
+  PmwCm mechanism(&dataset_, &oracle, PracticalOptions(), 106);
+  losses::LipschitzFamily family(3);
+  Rng rng(19);
+  const std::vector<convex::CmQuery> queries = family.Generate(6, &rng);
+  const HypothesisSnapshot initial = mechanism.SnapshotHypothesis();
+  std::vector<PreparedQuery> older;
+  for (const convex::CmQuery& query : queries) {
+    older.push_back(mechanism.Prepare(query, initial));
+  }
+  for (int j = 0; j < 200 && mechanism.update_count() < 3; ++j) {
+    ASSERT_TRUE(mechanism.AnswerQuery(family.Next(&rng)).ok());
+  }
+  ASSERT_GE(mechanism.update_count(), 3);
+
+  const HypothesisSnapshot now = mechanism.SnapshotHypothesis();
+  const PreparedQuery unset;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const PreparedQuery fresh = mechanism.Prepare(queries[i], now);
+    ASSERT_FALSE(std::isnan(fresh.data_min));
+    const PreparedQuery& old = older[i];
+    ASSERT_LT(old.hypothesis_version, now.version);
+    for (const PreparedQuery* earlier : {&old, &unset}) {
+      // An older version's plan lends its data_min; a default plan has
+      // none, so Prepare solves. Either way the plan is the fresh one.
+      const PreparedQuery plan = mechanism.Prepare(queries[i], now, earlier);
+      ASSERT_EQ(plan.theta_hat.size(), fresh.theta_hat.size());
+      for (size_t c = 0; c < plan.theta_hat.size(); ++c) {
+        EXPECT_TRUE(same_bits(plan.theta_hat[c], fresh.theta_hat[c]));
+      }
+      EXPECT_TRUE(same_bits(plan.query_value, fresh.query_value)) << i;
+      EXPECT_TRUE(same_bits(plan.data_min, fresh.data_min)) << i;
+      EXPECT_EQ(plan.hypothesis_version, now.version);
+    }
+  }
+  // The value really is borrowed, not re-solved: a planted data_min
+  // comes back as-is (which is why only the plan cache, whose key pins
+  // the query, may lend one).
+  PreparedQuery planted;
+  planted.data_min = -0.5;
+  EXPECT_EQ(mechanism.Prepare(queries[0], now, &planted).data_min, -0.5);
 }
 
 TEST_F(CoreTest, HypothesisConvergesTowardData) {

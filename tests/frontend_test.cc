@@ -15,13 +15,15 @@
 //       across batches (hit-rate > 0 on a repeated-query workload),
 //       serves content hits across hypothesis versions with the version
 //       restamped, and lazily drops plans whose fingerprints went stale.
-//   (d) The cache's bound in isolation: a full cache refuses new keys
-//       while residents keep hitting and stale drops free room.
+//   (d) The cache in isolation: a full cache refuses new keys while
+//       residents keep hitting and stale drops free room; a stale probe
+//       lends the entry's data_min (min l_D) and nothing else.
 //
 // The TSan CI job rebuilds this binary, so the concurrency claims are
 // machine-checked alongside the functional ones.
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -292,7 +294,10 @@ TEST_F(FrontendTest, GlobalQuotaAppliesAcrossAnalysts) {
   int served = 0;
   int rejected = 0;
   for (int a = 0; a < 3; ++a) {
-    AnalystSession session(&dispatcher, "a" + std::to_string(a));
+    // Two appends (GCC 12 Release -Wrestrict false positive on "a" + ...).
+    std::string analyst = "a";
+    analyst += std::to_string(a);
+    AnalystSession session(&dispatcher, analyst);
     for (int j = 0; j < 2; ++j) {
       Result<convex::Vec> answer = session.Submit(pool_[0]).get().answer;
       if (answer.ok()) {
@@ -453,6 +458,39 @@ TEST(PlanCacheTest, FullCacheRefusesNewKeysButKeepsServingResidents) {
   EXPECT_EQ(cache.size(), kMax);
   EXPECT_EQ(cache.Lookup(key(kMax + 1), next, &out),
             serve::PlanCache::Probe::kHit);
+}
+
+TEST(PlanCacheTest, StaleProbeLendsOnlyTheDataMin) {
+  int query = 0;
+  const serve::QueryKey key{&query, &query};
+  const serve::PlanStamp stamp{1, 7, 99};
+  core::PreparedQuery cached;
+  cached.theta_hat = {0.25, -0.5};
+  cached.query_value = 0.125;
+  cached.data_min = 0.375;
+  cached.hypothesis_version = stamp.version;
+  const auto expect_no_hypothesis_side = [](const core::PreparedQuery& p) {
+    EXPECT_TRUE(p.theta_hat.empty());
+    EXPECT_EQ(p.query_value, 0.0);
+    EXPECT_EQ(p.hypothesis_version, -1);
+  };
+
+  // A miss has nothing to lend: the caller's plan stays default, so the
+  // re-prepare solves min l_D itself.
+  serve::PlanCache cache;
+  core::PreparedQuery out;
+  EXPECT_EQ(cache.Lookup(key, stamp, &out), serve::PlanCache::Probe::kMiss);
+  expect_no_hypothesis_side(out);
+  EXPECT_TRUE(std::isnan(out.data_min));
+
+  // A stale entry hands back its data_min and nothing of the hypothesis
+  // side, then is dropped.
+  cache.Insert(key, stamp, cached);
+  const serve::PlanStamp moved{2, 7, 100};
+  EXPECT_EQ(cache.Lookup(key, moved, &out), serve::PlanCache::Probe::kStale);
+  expect_no_hypothesis_side(out);
+  EXPECT_EQ(out.data_min, cached.data_min);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST_F(FrontendTest, SubmitAfterShutdownResolvesWithTypedError) {

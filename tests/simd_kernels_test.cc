@@ -11,6 +11,9 @@
 //     unaligned tail lanes (n not a multiple of 4) and the one documented
 //     non-identity (the max fold may land on the other sign of zero,
 //     which its only consumer exp(x - max) cannot observe).
+//   * Objective level: convex::DatasetObjective, which every erm oracle
+//     evaluates l_D through, reproduces the per-record row loop it
+//     replaced on both its batched and its per-row path.
 //   * Transcript level: the full serving stack replayed with SIMD
 //     force-disabled (simd::SetEnabled(false)) matches the SIMD-enabled
 //     transcript bit-for-bit across backend {dense, sparse} x shards
@@ -24,6 +27,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -32,6 +36,7 @@
 
 #include "common/random.h"
 #include "common/simd.h"
+#include "convex/empirical_loss.h"
 #include "core/pmw_cm.h"
 #include "core/sharded_hypothesis.h"
 #include "data/binary_universe.h"
@@ -42,6 +47,7 @@
 #include "losses/loss_family.h"
 #include "losses/margin_kernels.h"
 #include "losses/margin_losses.h"
+#include "losses/transforms.h"
 #include "serve/pmw_service.h"
 
 namespace pmw {
@@ -337,6 +343,77 @@ TEST_F(MarginKernelTest, DeclinesNonHypercubeUniversesUntouched) {
   double acc2 = 0.0;
   EXPECT_FALSE(losses::kernels::HypercubeMarginValue(
       loss, theta_, wider, nullptr, 1, &entry, 1, &acc2));
+}
+
+// ---------------------------------------------------------------------------
+// convex::DatasetObjective (every erm oracle's l_D) vs the record-map
+// arithmetic it replaced: std::map counts, count * (1/n) weights, and the
+// virtual per-row Value/AddGradient in ascending row order.
+// ---------------------------------------------------------------------------
+
+TEST(DatasetObjectiveTest, MatchesRecordMapRowLoopBitwise) {
+  SimdToggleGuard guard;
+  const data::LabeledHypercubeUniverse universe(5);  // |X| = 64
+  const int dim = universe.dim();
+  Rng rng(505);
+  // Repeated records, and every row with index % 5 == 2 left unused.
+  std::vector<int> indices;
+  for (int i = 0; i < 700; ++i) {
+    const int index = rng.UniformInt(universe.size());
+    if (index % 5 != 2) indices.push_back(index);
+  }
+  const data::Dataset dataset(&universe, indices);
+  std::map<int, int> counts;
+  for (int index : indices) counts[index] += 1;
+  ASSERT_LT(counts.size(), indices.size());
+  ASSERT_LT(counts.size(), static_cast<size_t>(universe.size()));
+  const double inv_n = 1.0 / static_cast<double>(dataset.n());
+  std::vector<std::pair<int, double>> weighted;
+  for (const auto& [index, count] : counts) {
+    weighted.emplace_back(index, count * inv_n);
+  }
+
+  std::vector<int> flips;
+  for (int j = 0; j < dim; ++j) flips.push_back(j % 3 == 0 ? -1 : 1);
+  const losses::LogisticLoss logistic(dim);
+  const losses::SignFlipLoss flipped(&logistic, flips, -1);
+  convex::Vec center = rng.InUnitBall(dim);
+  convex::ScaleInPlace(&center, 0.5);
+  const losses::TikhonovLoss tikhonov(&flipped, 0.3, center);
+
+  for (int trial = 0; trial < 4; ++trial) {
+    const convex::Vec theta = rng.InUnitBall(dim);
+    // The two losses take the two evaluation paths.
+    double probe = 0.0;
+    ASSERT_TRUE(flipped.BatchValue(theta, universe, weighted.data(),
+                                   weighted.size(), &probe));
+    ASSERT_FALSE(tikhonov.BatchValue(theta, universe, weighted.data(),
+                                     weighted.size(), &probe));
+    for (const convex::LossFunction* loss :
+         {static_cast<const convex::LossFunction*>(&flipped),
+          static_cast<const convex::LossFunction*>(&tikhonov)}) {
+      double want = 0.0;
+      convex::Vec want_grad(theta.size(), 0.0);
+      for (const auto& [index, weight] : weighted) {
+        want += weight * loss->Value(theta, universe.row(index));
+        loss->AddGradient(theta, universe.row(index), weight, &want_grad);
+      }
+      for (bool simd_on : {false, true}) {
+        if (simd_on && !simd::Available()) continue;
+        simd::SetEnabled(simd_on);
+        const std::string where = loss->name() + " trial " +
+                                  std::to_string(trial) +
+                                  (simd_on ? " [simd on]" : " [simd off]");
+        const convex::DatasetObjective objective(loss, &dataset);
+        EXPECT_TRUE(BitsEq(objective.Value(theta), want)) << where;
+        const convex::Vec grad = objective.Gradient(theta);
+        ASSERT_EQ(grad.size(), want_grad.size()) << where;
+        for (size_t j = 0; j < grad.size(); ++j) {
+          EXPECT_TRUE(BitsEq(grad[j], want_grad[j])) << where << " coord " << j;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
