@@ -22,10 +22,11 @@
 //    wall-clock.
 //
 // Both gates need hardware to scale on: when the effective-core probe
-// (workload/cores.h) measures fewer than 3.5 cores of real parallelism
-// the run still prints the tables but exits SKIP instead of FAIL, since
-// no scheduler can conjure parallel speedup out of one core — however
-// many vCPUs the box advertises. Transcript safety is asserted, not
+// (workload/cores.h) measures fewer than 3.5 cores of real parallelism,
+// either at startup or again right after the gate's timed phase, the run
+// still prints the tables but exits SKIP instead of FAIL, since no
+// scheduler can conjure parallel speedup out of one core — however many
+// vCPUs the box advertises. Transcript safety is asserted, not
 // assumed: every configuration must produce the same
 // bottom/update/error counts (serve_sharded_test checks value-level
 // identity).
@@ -68,6 +69,24 @@ struct Cores {
 /// Both scaling gates want four cores of real parallelism; below this
 /// measured floor they SKIP.
 constexpr double kMinEffectiveCores = 3.5;
+
+/// The gates' core check: the startup probe (what env.effective_cores
+/// records) and a second probe taken right after the timed phase must
+/// both reach kMinEffectiveCores, since one probe before a multi-second
+/// phase cannot show the phase kept the cores. Prints both readings, and
+/// the SKIP line when either falls short.
+bool HadCores(const Cores& cores, double after, const char* gate) {
+  std::printf("effective cores: %.2f before, %.2f after the timed phase\n",
+              cores.effective, after);
+  if (cores.effective >= kMinEffectiveCores && after >= kMinEffectiveCores) {
+    return true;
+  }
+  std::printf("RESULT: SKIP (%.2f and %.2f effective core(s) of %u "
+              "advertised; the %s gate needs %.1f on both probes)\n",
+              cores.effective, after, cores.advertised, gate,
+              kMinEffectiveCores);
+  return false;
+}
 
 /// The BENCH json `env` record.
 workload::JsonValue EnvJson(const Cores& cores) {
@@ -264,6 +283,7 @@ int RunMwPhase(int gate_shards, const Cores& cores,
                    .Set("updates_per_sec",
                         workload::JsonValue::Double(result.updates_per_sec)));
   }
+  const double cores_after = workload::MeasureEffectiveCores();
   table.Print();
 
   if (!transcripts_agree) {
@@ -298,12 +318,7 @@ int RunMwPhase(int gate_shards, const Cores& cores,
             .Set("speedup_top_vs_1", workload::JsonValue::Double(speedup));
     if (!WriteBenchJson(root, json_dir, bench_name)) return 1;
   }
-  if (cores.effective < kMinEffectiveCores) {
-    std::printf("RESULT: SKIP (%.2f effective core(s) of %u advertised; "
-                "the >= 2x gate needs %.1f)\n",
-                cores.effective, cores.advertised, kMinEffectiveCores);
-    return 0;
-  }
+  if (!HadCores(cores, cores_after, ">= 2x")) return 0;
   if (top < 4) {
     std::printf("RESULT: SKIP (gate applies at --shards=4)\n");
     return 0;
@@ -543,6 +558,7 @@ int Main(const Cores& cores, const std::string& json_dir) {
             .Set("bottom", workload::JsonValue::Int(result.bottom))
             .Set("updates", workload::JsonValue::Int(result.updates)));
   }
+  const double cores_after = workload::MeasureEffectiveCores();
   table.Print();
 
   if (!transcripts_agree) {
@@ -571,12 +587,7 @@ int Main(const Cores& cores, const std::string& json_dir) {
             .Set("speedup_4_vs_1", workload::JsonValue::Double(speedup));
     if (!WriteBenchJson(root, json_dir, "prepare_threads")) return 1;
   }
-  if (cores.effective < kMinEffectiveCores) {
-    std::printf("RESULT: SKIP (%.2f effective core(s) of %u advertised; "
-                "the >= 2.5x gate needs %.1f)\n",
-                cores.effective, cores.advertised, kMinEffectiveCores);
-    return 0;
-  }
+  if (!HadCores(cores, cores_after, ">= 2.5x")) return 0;
   std::printf(speedup >= 2.5 ? "RESULT: PASS\n" : "RESULT: FAIL\n");
   return speedup >= 2.5 ? 0 : 1;
 }

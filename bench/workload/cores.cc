@@ -45,7 +45,9 @@ double TimeSpin(int threads) {
   return seconds;
 }
 
-double ProbeEffectiveCores() {
+}  // namespace
+
+double MeasureEffectiveCores() {
   double one = TimeSpin(1);
   double many = TimeSpin(kProbeThreads);
   // Interleaved rounds, so slow drift (noisy neighbours, frequency
@@ -59,10 +61,8 @@ double ProbeEffectiveCores() {
   return std::clamp(measured, 1.0, static_cast<double>(nproc));
 }
 
-}  // namespace
-
 double EffectiveCores() {
-  static const double cores = ProbeEffectiveCores();
+  static const double cores = MeasureEffectiveCores();
   return cores;
 }
 

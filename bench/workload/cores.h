@@ -22,6 +22,11 @@ namespace workload {
 /// value, rounded and clamped to [1, env.cores].
 double EffectiveCores();
 
+/// A fresh probe, never cached. On a shared box the reading can flip
+/// between ~1 and ~4 from one probe to the next, so a gate re-probes
+/// right after its timed phase to check the phase had the cores too.
+double MeasureEffectiveCores();
+
 }  // namespace workload
 }  // namespace pmw
 

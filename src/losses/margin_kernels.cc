@@ -1,5 +1,7 @@
 #include "losses/margin_kernels.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -11,6 +13,8 @@
 #if defined(PMW_ENABLE_AVX2) && defined(__x86_64__)
 #define PMW_MARGIN_SIMD 1
 #include <immintrin.h>
+// target("avx2") only, never "fma" (common/simd.h).
+#define PMW_AVX2 __attribute__((target("avx2")))
 #else
 #define PMW_MARGIN_SIMD 0
 #endif
@@ -20,239 +24,488 @@ namespace losses {
 namespace kernels {
 namespace {
 
-// Widest hypercube the universes can construct is dim 20 (binary_universe.h),
-// so fixed stack arrays suffice.
-constexpr int kMaxDim = 64;
+using Entry = std::pair<int, double>;
 
-struct Layout {
-  int dim = 0;        // feature dimension d
-  int shift = 0;      // index bit holding the sign of coordinate 0
-  bool labeled = false;  // label in index bit 0 (set => +1.0)
-  double scale = 0.0;    // the exact stored |feature| double
-};
+// The widest hypercube the universes construct is d = 20
+// (binary_universe.h), so per-coordinate arrays are fixed-size and a
+// gradient fits in at most five 4-wide accumulators.
+constexpr int kMaxDim = 20;
+constexpr int kMaxBlocks = (kMaxDim + 3) / 4;
+// Prefix-table width cap: 2^10 doubles, 8 KiB, stays L1-resident.
+constexpr int kMaxTableBits = 10;
 
-bool Detect(const data::Universe& universe, size_t theta_dim, Layout* out) {
-  if (const auto* cube =
-          dynamic_cast<const data::HypercubeUniverse*>(&universe)) {
-    out->dim = cube->dim();
-    out->shift = 0;
-    out->labeled = false;
-  } else if (const auto* labeled =
-                 dynamic_cast<const data::LabeledHypercubeUniverse*>(
-                     &universe)) {
-    out->dim = labeled->dim();
-    out->shift = 1;
-    out->labeled = true;
-  } else {
-    return false;
-  }
-  if (static_cast<size_t>(out->dim) != theta_dim) return false;
-  if (out->dim > kMaxDim || universe.size() == 0) return false;
-  // All rows store the same +-scale double (computed once when the universe
-  // was built), so row 0's first feature carries the exact bits.
-  out->scale = std::abs(universe.row(0).features[0]);
-  return true;
-}
-
-// w[j] = theta_j * c_j and c[j] = flips_j * scale; the generic path's
-// theta_j * t_j with t_j = +-c_j is exactly +-w[j] (header). The negated
-// copies feed the AVX2 kernels (sign-bit XOR flips them back exactly) and
-// are zero-padded so padding lanes contribute only discarded +-0 terms.
-struct Weights {
+// Everything a sweep reads, computed once per call.
+struct Sweep {
+  int dim = 0;
+  // The index bit holding the sign of coordinate 0.
+  int shift = 0;
+  // The (flipped) label for index bit 0 clear / set.
+  double ys[2];
+  // c_j = flips_j * scale and w_j = theta_j * c_j, with negated copies;
+  // neg_c is zero-padded to whole 4-lane blocks.
   double c[kMaxDim];
   double w[kMaxDim];
-  alignas(32) double neg_c[kMaxDim + 4] = {0.0};
-  alignas(32) double neg_w[kMaxDim + 4] = {0.0};
+  double neg_w[kMaxDim];
+  alignas(32) double neg_c[4 * kMaxBlocks];
+  // table[p] = the running z after coordinates [0, table_bits) for sign
+  // pattern p; coordinates [table_bits, dim) accumulate per entry.
+  int table_bits = 0;
+  std::uint64_t table_mask = 0;
+  alignas(32) double table[1 << kMaxTableBits];
 };
 
-void ComputeWeights(const convex::Vec& theta, const int* flips, double scale,
-                    int dim, Weights* out) {
-  for (int j = 0; j < dim; ++j) {
-    out->c[j] = flips != nullptr ? static_cast<double>(flips[j]) * scale
-                                 : scale;
-    out->w[j] = theta[j] * out->c[j];
-    out->neg_c[j] = -out->c[j];
-    out->neg_w[j] = -out->w[j];
-  }
+inline std::uint64_t FeatureBits(const Sweep& s, int index) {
+  return static_cast<std::uint64_t>(index) >> s.shift;
 }
 
-inline double ScalarZ(std::uint64_t index, const Layout& layout,
-                      const double* w) {
-  const std::uint64_t feature_bits = index >> layout.shift;
-  double z = 0.0;
-  for (int j = 0; j < layout.dim; ++j) {
-    z += ((feature_bits >> j) & 1u) != 0 ? w[j] : -w[j];
+inline double Label(const Sweep& s, int index) {
+  return s.ys[static_cast<std::uint64_t>(index) & 1u];
+}
+
+// The scalar z: the table's prefix, then the remaining coordinates in j
+// order — the same adds the per-row dot product runs.
+inline double EntryZ(const Sweep& s, std::uint64_t bits) {
+  double z = s.table[bits & s.table_mask];
+  for (int j = s.table_bits; j < s.dim; ++j) {
+    z += ((bits >> j) & 1u) != 0 ? s.w[j] : s.neg_w[j];
   }
   return z;
 }
 
-inline double LabelOf(std::uint64_t index, const Layout& layout,
-                      double y_clear, double y_set) {
-  if (!layout.labeled) return y_clear;
-  return (index & 1u) != 0 ? y_set : y_clear;
+// Table doubling over coordinates [from, to): after step j, table[p] for
+// p < 2^(j+1) holds ((0.0 + s_0) + s_1) + ... + s_j with
+// s_i = bit_i(p) ? w_i : -w_i.
+void Double(Sweep* s, int from, int to) {
+  double* t = s->table;
+  for (int j = from; j < to; ++j) {
+    const size_t half = size_t{1} << j;
+    for (size_t p = 0; p < half; ++p) {
+      t[p + half] = t[p] + s->w[j];
+      t[p] = t[p] + s->neg_w[j];
+    }
+  }
 }
 
-// Inline dispatch to the static Eval bodies that the virtual Link methods
-// also call (margin_losses.h) — same code either way, this just skips the
-// per-entry virtual call. kGeneric falls back to the virtual.
-inline double EvalLink(const MarginLoss& link, LinkKind kind, double param,
-                       double z, double y) {
-  switch (kind) {
+#if PMW_MARGIN_SIMD
+// Double four patterns per instruction; needs from >= 2 (half >= 4).
+PMW_AVX2 void DoubleAvx2(Sweep* s, int from, int to) {
+  double* t = s->table;
+  for (int j = from; j < to; ++j) {
+    const size_t half = size_t{1} << j;
+    const __m256d pos = _mm256_set1_pd(s->w[j]);
+    const __m256d neg = _mm256_set1_pd(s->neg_w[j]);
+    for (size_t p = 0; p < half; p += 4) {
+      const __m256d v = _mm256_load_pd(t + p);
+      _mm256_store_pd(t + p + half, _mm256_add_pd(v, pos));
+      _mm256_store_pd(t + p, _mm256_add_pd(v, neg));
+    }
+  }
+}
+#endif  // PMW_MARGIN_SIMD
+
+// w_j = theta_j * c_j and c_j = flips_j * scale: the generic path's
+// theta_j * t_j with t_j = +-c_j is exactly +-w_j (header).
+bool Prepare(const convex::Vec& theta, const data::Universe& universe,
+             const int* flips, int label_flip, size_t count, Sweep* s) {
+  bool labeled = false;
+  if (const auto* cube =
+          dynamic_cast<const data::HypercubeUniverse*>(&universe)) {
+    s->dim = cube->dim();
+  } else if (const auto* labeled_cube =
+                 dynamic_cast<const data::LabeledHypercubeUniverse*>(
+                     &universe)) {
+    s->dim = labeled_cube->dim();
+    labeled = true;
+  } else {
+    return false;
+  }
+  if (static_cast<size_t>(s->dim) != theta.size()) return false;
+  if (s->dim > kMaxDim) return false;
+  s->shift = labeled ? 1 : 0;
+  // Same label multiply as the generic transform (label_flip * stored
+  // label); exact for the stored labels {-1.0, 0.0, +1.0}. Unlabeled rows
+  // all store 0.0, whatever index bit 0 holds.
+  const double lf = static_cast<double>(label_flip);
+  s->ys[0] = lf * (labeled ? -1.0 : 0.0);
+  s->ys[1] = labeled ? lf * 1.0 : s->ys[0];
+  // All rows store the same +-scale double (computed once when the
+  // universe was built), so row 0's first feature carries the exact bits.
+  const double scale = std::abs(universe.row(0).features[0]);
+  std::fill(std::begin(s->neg_c), std::end(s->neg_c), 0.0);
+  for (int j = 0; j < s->dim; ++j) {
+    s->c[j] = flips != nullptr ? static_cast<double>(flips[j]) * scale : scale;
+    s->w[j] = theta[j] * s->c[j];
+    s->neg_w[j] = -s->w[j];
+    s->neg_c[j] = -s->c[j];
+  }
+  // A table wider than the support would cost more adds than it saves.
+  const int count_bits =
+      count > 1 ? static_cast<int>(std::bit_width(count)) - 1 : 0;
+  s->table_bits = std::min({s->dim, kMaxTableBits, count_bits});
+  s->table_mask = (std::uint64_t{1} << s->table_bits) - 1;
+  s->table[0] = 0.0;
+#if PMW_MARGIN_SIMD
+  if (simd::Enabled() && s->table_bits > 2) {
+    Double(s, 0, 2);
+    DoubleAvx2(s, 2, s->table_bits);
+    return true;
+  }
+#endif
+  Double(s, 0, s->table_bits);
+  return true;
+}
+
+// Link functors, one per LinkKind, so each sweep is instantiated with its
+// link inlined. The scalar bodies are the static Eval/EvalDerivative the
+// virtual Link methods call (margin_losses.h). kLanes links also carry
+// AVX2 bodies that reproduce the scalar ones lane by lane.
+struct SquaredLink {
+  static constexpr bool kLanes = true;
+  double Value(double z, double y) const { return SquaredLoss::Eval(z, y); }
+  double Derivative(double z, double y) const {
+    return SquaredLoss::EvalDerivative(z, y);
+  }
+#if PMW_MARGIN_SIMD
+  // 0.25 * ((z - y) * (z - y)) and 0.5 * (z - y).
+  PMW_AVX2 __m256d Value4(__m256d z, __m256d y) const {
+    const __m256d r = _mm256_sub_pd(z, y);
+    return _mm256_mul_pd(_mm256_set1_pd(0.25), _mm256_mul_pd(r, r));
+  }
+  PMW_AVX2 __m256d Derivative4(__m256d z, __m256d y) const {
+    return _mm256_mul_pd(_mm256_set1_pd(0.5), _mm256_sub_pd(z, y));
+  }
+#endif
+};
+
+struct HingeLink {
+  static constexpr bool kLanes = true;
+  double Value(double z, double y) const { return HingeLoss::Eval(z, y); }
+  double Derivative(double z, double y) const {
+    return HingeLoss::EvalDerivative(z, y);
+  }
+#if PMW_MARGIN_SIMD
+  // std::max(0.0, m) is (0.0 < m) ? m : 0.0; maxpd(m, 0) is
+  // (m > 0) ? m : 0 — the same pick for NaN and for either zero.
+  PMW_AVX2 __m256d Value4(__m256d z, __m256d y) const {
+    const __m256d m = _mm256_sub_pd(_mm256_set1_pd(1.0), _mm256_mul_pd(y, z));
+    return _mm256_max_pd(m, _mm256_setzero_pd());
+  }
+  // (m > 0.0) ? -y : 0.0 — an ordered compare is false on NaN, and the
+  // cleared lane is +0.0.
+  PMW_AVX2 __m256d Derivative4(__m256d z, __m256d y) const {
+    const __m256d m = _mm256_sub_pd(_mm256_set1_pd(1.0), _mm256_mul_pd(y, z));
+    const __m256d pos = _mm256_cmp_pd(m, _mm256_setzero_pd(), _CMP_GT_OQ);
+    return _mm256_and_pd(pos, _mm256_xor_pd(y, _mm256_set1_pd(-0.0)));
+  }
+#endif
+};
+
+struct AbsoluteLink {
+  static constexpr bool kLanes = true;
+  double Value(double z, double y) const { return AbsoluteLoss::Eval(z, y); }
+  double Derivative(double z, double y) const {
+    return AbsoluteLoss::EvalDerivative(z, y);
+  }
+#if PMW_MARGIN_SIMD
+  // std::abs clears the sign bit.
+  PMW_AVX2 __m256d Value4(__m256d z, __m256d y) const {
+    return _mm256_andnot_pd(_mm256_set1_pd(-0.0), _mm256_sub_pd(z, y));
+  }
+  // z > y ? 1.0 : z < y ? -1.0 : 0.0 — both compares are false on NaN
+  // and on +0.0 vs -0.0.
+  PMW_AVX2 __m256d Derivative4(__m256d z, __m256d y) const {
+    const __m256d gt = _mm256_cmp_pd(z, y, _CMP_GT_OQ);
+    const __m256d lt = _mm256_cmp_pd(z, y, _CMP_LT_OQ);
+    return _mm256_or_pd(_mm256_and_pd(gt, _mm256_set1_pd(1.0)),
+                        _mm256_and_pd(lt, _mm256_set1_pd(-1.0)));
+  }
+#endif
+};
+
+// Links whose bodies stay scalar per lane: libm exp/log1p, Huber's
+// Clamp, and the virtual Link of a MarginLoss subclass with no kind.
+struct LogisticLink {
+  static constexpr bool kLanes = false;
+  double Value(double z, double y) const { return LogisticLoss::Eval(z, y); }
+  double Derivative(double z, double y) const {
+    return LogisticLoss::EvalDerivative(z, y);
+  }
+};
+
+struct HuberLink {
+  static constexpr bool kLanes = false;
+  double delta;
+  double Value(double z, double y) const {
+    return HuberLoss::Eval(z, y, delta);
+  }
+  double Derivative(double z, double y) const {
+    return HuberLoss::EvalDerivative(z, y, delta);
+  }
+};
+
+struct GenericLink {
+  static constexpr bool kLanes = false;
+  const MarginLoss* link;
+  double Value(double z, double y) const { return link->Link(z, y); }
+  double Derivative(double z, double y) const {
+    return link->LinkDerivative(z, y);
+  }
+};
+
+// The sweep's one dispatch on the kind: fn is instantiated per functor,
+// so no entry loop switches on it.
+template <class Fn>
+void WithLink(const MarginLoss& link, Fn&& fn) {
+  switch (link.link_kind()) {
     case LinkKind::kSquared:
-      return SquaredLoss::Eval(z, y);
+      return fn(SquaredLink{});
     case LinkKind::kLogistic:
-      return LogisticLoss::Eval(z, y);
+      return fn(LogisticLink{});
     case LinkKind::kHinge:
-      return HingeLoss::Eval(z, y);
+      return fn(HingeLink{});
     case LinkKind::kAbsolute:
-      return AbsoluteLoss::Eval(z, y);
+      return fn(AbsoluteLink{});
     case LinkKind::kHuber:
-      return HuberLoss::Eval(z, y, param);
+      return fn(HuberLink{link.link_param()});
     case LinkKind::kGeneric:
       break;
   }
-  return link.Link(z, y);
+  fn(GenericLink{&link});
 }
 
-inline double EvalLinkDerivative(const MarginLoss& link, LinkKind kind,
-                                 double param, double z, double y) {
-  switch (kind) {
-    case LinkKind::kSquared:
-      return SquaredLoss::EvalDerivative(z, y);
-    case LinkKind::kLogistic:
-      return LogisticLoss::EvalDerivative(z, y);
-    case LinkKind::kHinge:
-      return HingeLoss::EvalDerivative(z, y);
-    case LinkKind::kAbsolute:
-      return AbsoluteLoss::EvalDerivative(z, y);
-    case LinkKind::kHuber:
-      return HuberLoss::EvalDerivative(z, y, param);
-    case LinkKind::kGeneric:
-      break;
+// The per-entry scalar sweeps: the SIMD-off path, and the < 4 entry tail
+// after the AVX2 quads.
+template <class L>
+double ValueScalar(const L& link, const Sweep& s, const Entry* entries,
+                   size_t count, double local) {
+  for (size_t i = 0; i < count; ++i) {
+    const auto& [index, mass] = entries[i];
+    local +=
+        mass * link.Value(EntryZ(s, FeatureBits(s, index)), Label(s, index));
   }
-  return link.LinkDerivative(z, y);
+  return local;
+}
+
+template <class L>
+void AddGradientScalar(const L& link, const Sweep& s, const Entry* entries,
+                       size_t count, double* g) {
+  for (size_t i = 0; i < count; ++i) {
+    const auto& [index, mass] = entries[i];
+    const std::uint64_t bits = FeatureBits(s, index);
+    const double coeff =
+        mass * link.Derivative(EntryZ(s, bits), Label(s, index));
+    // coeff * t_j as +-(coeff * c_j): exact by sign symmetry, (entry, j)
+    // order matches the generic scatter.
+    for (int j = 0; j < s.dim; ++j) {
+      const double gj = coeff * s.c[j];
+      g[j] += ((bits >> j) & 1u) != 0 ? gj : -gj;
+    }
+  }
 }
 
 #if PMW_MARGIN_SIMD
 
-// Four entries per iteration, one per AVX2 lane; each lane replays the
-// scalar z accumulation (same 0.0 start, same j order). Index bit j is
-// shifted into the IEEE sign position and XORed onto -w[j]: bit set flips
-// -w[j] to +w[j], bit clear leaves -w[j] — exact negation either way.
-// target("avx2") only, never "fma" (common/simd.h).
-__attribute__((target("avx2"))) void BatchZAvx2(
-    const std::pair<int, double>* entries, size_t quads, const Layout& layout,
-    const double* neg_w, double* z_out) {
-  const __m128i shift_count = _mm_cvtsi32_si128(layout.shift);
-  for (size_t q = 0; q < quads; ++q) {
-    const std::pair<int, double>* p = entries + 4 * q;
-    const __m256i index = _mm256_set_epi64x(p[3].first, p[2].first,
-                                            p[1].first, p[0].first);
-    __m256i bits = _mm256_srl_epi64(index, shift_count);
-    __m256d z = _mm256_setzero_pd();
-    for (int j = 0; j < layout.dim; ++j) {
-      // Bit 0 of `bits` lands alone in the sign position; the shift fills
-      // everything else with zeros, so no masking is needed.
-      const __m256i sign = _mm256_slli_epi64(bits, 63);
-      const __m256d term =
-          _mm256_xor_pd(_mm256_set1_pd(neg_w[j]), _mm256_castsi256_pd(sign));
-      z = _mm256_add_pd(z, term);
-      bits = _mm256_srli_epi64(bits, 1);
+// Four consecutive entries, one per lane.
+struct Quad {
+  std::uint64_t bits[4];  // feature bits (index >> shift)
+  __m256d z, y, mass;
+};
+
+// z starts from each entry's table prefix; coordinates past the table
+// replay the scalar adds per lane in j order. Index bit j is shifted into
+// the IEEE sign position and XORed onto -w_j: bit set flips it to +w_j,
+// bit clear leaves -w_j — exact negation either way.
+PMW_AVX2 inline Quad LoadQuad(const Sweep& s, const Entry* q) {
+  Quad out;
+#pragma GCC unroll 4
+  for (int k = 0; k < 4; ++k) out.bits[k] = FeatureBits(s, q[k].first);
+  const std::uint64_t* b = out.bits;
+  const std::uint64_t m = s.table_mask;
+  out.z = _mm256_set_pd(s.table[b[3] & m], s.table[b[2] & m],
+                        s.table[b[1] & m], s.table[b[0] & m]);
+  // Two loads bring in four {int, double} entries; the unpacks leave the
+  // lanes in order 0, 2, 1, 3, which the permutes restore. Each index
+  // lane carries the pair's padding in its upper half, and no shift
+  // below moves those bits into the sign position.
+  const __m256d lo = _mm256_loadu_pd(reinterpret_cast<const double*>(q));
+  const __m256d hi = _mm256_loadu_pd(reinterpret_cast<const double*>(q + 2));
+  const __m256i index = _mm256_castpd_si256(
+      _mm256_permute4x64_pd(_mm256_unpacklo_pd(lo, hi), 0xD8));
+  out.mass = _mm256_permute4x64_pd(_mm256_unpackhi_pd(lo, hi), 0xD8);
+  // ys[index & 1], picked on the sign of index bit 0.
+  out.y = _mm256_blendv_pd(
+      _mm256_set1_pd(s.ys[0]), _mm256_set1_pd(s.ys[1]),
+      _mm256_castsi256_pd(_mm256_slli_epi64(index, 63)));
+  if (s.table_bits < s.dim) {
+    __m256i v =
+        _mm256_srl_epi64(index, _mm_cvtsi32_si128(s.shift + s.table_bits));
+    for (int j = s.table_bits; j < s.dim; ++j) {
+      const __m256i sign = _mm256_slli_epi64(v, 63);
+      out.z = _mm256_add_pd(out.z, _mm256_xor_pd(_mm256_set1_pd(s.neg_w[j]),
+                                                 _mm256_castsi256_pd(sign)));
+      v = _mm256_srli_epi64(v, 1);
     }
-    _mm256_storeu_pd(z_out + 4 * q, z);
+  }
+  return out;
+}
+
+// f on each lane in turn: the scalar-bodied links' four-lane form.
+template <class F>
+PMW_AVX2 inline __m256d PerLane(const F& f, __m256d z, __m256d y) {
+  alignas(32) double zs[4], ys[4];
+  _mm256_store_pd(zs, z);
+  _mm256_store_pd(ys, y);
+  return _mm256_set_pd(f(zs[3], ys[3]), f(zs[2], ys[2]), f(zs[1], ys[1]),
+                       f(zs[0], ys[0]));
+}
+
+template <class L>
+PMW_AVX2 inline __m256d LinkValue4(const L& link, __m256d z, __m256d y) {
+  if constexpr (L::kLanes) {
+    return link.Value4(z, y);
+  } else {
+    return PerLane([&](double a, double b) { return link.Value(a, b); }, z,
+                   y);
   }
 }
 
-// Gradient scatter for one block of entries: grad[j] += +-(coeff_e * c[j])
-// for every entry in order. Coordinates fan across lanes four at a time
-// (grad slots are independent, so vectorizing across j keeps each slot's
-// per-entry add sequence identical to the scalar scatter); accumulators
-// stay in registers across the block via a 32-slot padded copy of grad.
-// Signs come from srlv-ing each entry's bits by {j..j+3} and shifting into
-// the sign position, XORed onto coeff * (-c[j]) — exact negation.
-__attribute__((target("avx2"))) void GradScatterAvx2(
-    const std::pair<int, double>* entries, size_t n, const Layout& layout,
-    const double* neg_c, const double* coeff, double* grad_padded) {
-  const int blocks = (layout.dim + 3) / 4;
-  __m256d acc[(kMaxDim + 3) / 4];
-  __m256d negc_v[(kMaxDim + 3) / 4];
-  __m256i shifts[(kMaxDim + 3) / 4];
-  for (int b = 0; b < blocks; ++b) {
-    acc[b] = _mm256_loadu_pd(grad_padded + 4 * b);
-    negc_v[b] = _mm256_loadu_pd(neg_c + 4 * b);
-    shifts[b] = _mm256_set_epi64x(4 * b + 3, 4 * b + 2, 4 * b + 1, 4 * b);
+template <class L>
+PMW_AVX2 inline __m256d LinkDerivative4(const L& link, __m256d z,
+                                        __m256d y) {
+  if constexpr (L::kLanes) {
+    return link.Derivative4(z, y);
+  } else {
+    return PerLane([&](double a, double b) { return link.Derivative(a, b); },
+                   z, y);
   }
-  for (size_t e = 0; e < n; ++e) {
-    const __m256i bits = _mm256_set1_epi64x(
-        static_cast<long long>(static_cast<std::uint64_t>(entries[e].first) >>
-                               layout.shift));
-    const __m256d coeff_v = _mm256_set1_pd(coeff[e]);
-    for (int b = 0; b < blocks; ++b) {
-      const __m256i sign =
-          _mm256_slli_epi64(_mm256_srlv_epi64(bits, shifts[b]), 63);
-      const __m256d term = _mm256_xor_pd(_mm256_mul_pd(coeff_v, negc_v[b]),
-                                         _mm256_castsi256_pd(sign));
-      acc[b] = _mm256_add_pd(acc[b], term);
+}
+
+// One pass per quad: z, link, mass product in lanes, then the four terms
+// join the running sum one at a time in entry order. `count` is a
+// multiple of 4. The AVX2 sweeps return to their non-AVX caller for the
+// scalar tail rather than calling into it, so the compiler's vzeroupper
+// on return always runs before SSE code does.
+template <class L>
+PMW_AVX2 double ValueAvx2(const L& link, const Sweep& s,
+                          const Entry* entries, size_t count, double local) {
+  for (size_t i = 0; i < count; i += 4) {
+    const Quad q = LoadQuad(s, entries + i);
+    alignas(32) double terms[4];
+    _mm256_store_pd(terms, _mm256_mul_pd(q.mass, LinkValue4(link, q.z, q.y)));
+    local += terms[0];
+    local += terms[1];
+    local += terms[2];
+    local += terms[3];
+  }
+  return local;
+}
+
+// kSignMasks[p] holds the IEEE sign bit in lane l iff bit l of p is set.
+struct SignMasks {
+  alignas(32) std::uint64_t lanes[16][4];
+};
+constexpr SignMasks MakeSignMasks() {
+  SignMasks m{};
+  for (int p = 0; p < 16; ++p) {
+    for (int l = 0; l < 4; ++l) {
+      m.lanes[p][l] = ((p >> l) & 1) != 0 ? std::uint64_t{1} << 63 : 0;
     }
   }
-  for (int b = 0; b < blocks; ++b) {
-    _mm256_storeu_pd(grad_padded + 4 * b, acc[b]);
+  return m;
+}
+constexpr SignMasks kSignMasks = MakeSignMasks();
+
+// grad_j += +-(coeff * c_j) for coordinates fanned four per lane: grad
+// slots are independent, so each slot sees the scalar scatter's per-entry
+// add sequence. Bits 4k..4k+3 pick block k's sign mask, XORed onto
+// coeff * -c_j.
+template <int B>
+PMW_AVX2 inline void Scatter(std::uint64_t bits, __m256d coeff,
+                             const __m256d (&neg_c)[B], __m256d (&acc)[B]) {
+#pragma GCC unroll 8
+  for (int k = 0; k < B; ++k) {
+    const __m256d sign = _mm256_castsi256_pd(
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(
+            kSignMasks.lanes[(bits >> (4 * k)) & 15])));
+    acc[k] = _mm256_add_pd(
+        acc[k], _mm256_xor_pd(_mm256_mul_pd(coeff, neg_c[k]), sign));
   }
+}
+
+// B = ceil(dim / 4) is a template argument so the accumulators stay in
+// registers for the whole sweep. `grad` is padded to 4 * B slots; `count`
+// is a multiple of 4.
+template <int B, class L>
+PMW_AVX2 void AddGradientAvx2(const L& link, const Sweep& s,
+                              const Entry* entries, size_t count,
+                              double* grad) {
+  __m256d acc[B], neg_c[B];
+#pragma GCC unroll 8
+  for (int k = 0; k < B; ++k) {
+    acc[k] = _mm256_load_pd(grad + 4 * k);
+    neg_c[k] = _mm256_load_pd(s.neg_c + 4 * k);
+  }
+  for (size_t i = 0; i < count; i += 4) {
+    const Quad q = LoadQuad(s, entries + i);
+    const __m256d coeff =
+        _mm256_mul_pd(q.mass, LinkDerivative4(link, q.z, q.y));
+    Scatter<B>(q.bits[0], _mm256_permute4x64_pd(coeff, 0x00), neg_c, acc);
+    Scatter<B>(q.bits[1], _mm256_permute4x64_pd(coeff, 0x55), neg_c, acc);
+    Scatter<B>(q.bits[2], _mm256_permute4x64_pd(coeff, 0xAA), neg_c, acc);
+    Scatter<B>(q.bits[3], _mm256_permute4x64_pd(coeff, 0xFF), neg_c, acc);
+  }
+#pragma GCC unroll 8
+  for (int k = 0; k < B; ++k) _mm256_store_pd(grad + 4 * k, acc[k]);
 }
 
 #endif  // PMW_MARGIN_SIMD
 
-// Computes z for entries [i, i+n) into z_buf, SIMD when enabled.
-void ZBlock(const std::pair<int, double>* entries, size_t n,
-            const Layout& layout, const Weights& weights, double* z_buf) {
-  size_t i = 0;
+template <class L>
+double Value(const L& link, const Sweep& s, const Entry* entries,
+             size_t count, double local) {
+  size_t done = 0;
 #if PMW_MARGIN_SIMD
   if (simd::Enabled()) {
-    const size_t quads = n / 4;
-    BatchZAvx2(entries, quads, layout, weights.neg_w, z_buf);
-    i = 4 * quads;
+    done = count & ~size_t{3};
+    local = ValueAvx2(link, s, entries, done, local);
   }
 #endif
-  for (; i < n; ++i) {
-    z_buf[i] =
-        ScalarZ(static_cast<std::uint64_t>(entries[i].first), layout,
-                weights.w);
-  }
+  return ValueScalar(link, s, entries + done, count - done, local);
 }
 
-constexpr size_t kBlock = 256;
+template <class L>
+void AddGradient(const L& link, const Sweep& s, const Entry* entries,
+                 size_t count, double* g) {
+  size_t done = 0;
+#if PMW_MARGIN_SIMD
+  if (simd::Enabled()) {
+    using Sweeper = void (*)(const L&, const Sweep&, const Entry*, size_t,
+                             double*);
+    static constexpr Sweeper kByBlocks[kMaxBlocks] = {
+        &AddGradientAvx2<1, L>, &AddGradientAvx2<2, L>, &AddGradientAvx2<3, L>,
+        &AddGradientAvx2<4, L>, &AddGradientAvx2<5, L>};
+    done = count & ~size_t{3};
+    // Exact copies in and out; padding slots are discarded.
+    alignas(32) double padded[4 * kMaxBlocks] = {0.0};
+    std::copy(g, g + s.dim, padded);
+    kByBlocks[(s.dim + 3) / 4 - 1](link, s, entries, done, padded);
+    std::copy(padded, padded + s.dim, g);
+  }
+#endif
+  AddGradientScalar(link, s, entries + done, count - done, g);
+}
 
 }  // namespace
 
 bool HypercubeMarginValue(const MarginLoss& link, const convex::Vec& theta,
                           const data::Universe& universe, const int* flips,
-                          int label_flip,
-                          const std::pair<int, double>* entries, size_t count,
+                          int label_flip, const Entry* entries, size_t count,
                           double* acc) {
-  Layout layout;
-  if (!Detect(universe, theta.size(), &layout)) return false;
-  Weights weights;
-  ComputeWeights(theta, flips, layout.scale, layout.dim, &weights);
-  // Same label multiply as the generic transform (label_flip * stored
-  // label); exact for the stored labels {-1.0, 0.0, +1.0}.
-  const double lf = static_cast<double>(label_flip);
-  const double y_set = lf * 1.0;
-  const double y_clear = lf * (layout.labeled ? -1.0 : 0.0);
-  const LinkKind kind = link.link_kind();
-  const double param = link.link_param();
-  double z_buf[kBlock];
-  double local = *acc;
-  for (size_t i = 0; i < count; i += kBlock) {
-    const size_t n = count - i < kBlock ? count - i : kBlock;
-    ZBlock(entries + i, n, layout, weights, z_buf);
-    for (size_t k = 0; k < n; ++k) {
-      const auto& [index, mass] = entries[i + k];
-      const double y = LabelOf(static_cast<std::uint64_t>(index), layout,
-                               y_clear, y_set);
-      local += mass * EvalLink(link, kind, param, z_buf[k], y);
-    }
-  }
-  *acc = local;
+  Sweep s;
+  if (!Prepare(theta, universe, flips, label_flip, count, &s)) return false;
+  WithLink(link, [&](const auto& l) {
+    *acc = Value(l, s, entries, count, *acc);
+  });
   return true;
 }
 
@@ -260,63 +513,15 @@ bool HypercubeMarginAddGradient(const MarginLoss& link,
                                 const convex::Vec& theta,
                                 const data::Universe& universe,
                                 const int* flips, int label_flip,
-                                const std::pair<int, double>* entries,
-                                size_t count, convex::Vec* grad) {
-  Layout layout;
-  if (!Detect(universe, theta.size(), &layout)) return false;
+                                const Entry* entries, size_t count,
+                                convex::Vec* grad) {
+  Sweep s;
+  if (!Prepare(theta, universe, flips, label_flip, count, &s)) return false;
   PMW_CHECK(grad != nullptr);
   PMW_CHECK_EQ(grad->size(), theta.size());
-  Weights weights;
-  ComputeWeights(theta, flips, layout.scale, layout.dim, &weights);
-  const double lf = static_cast<double>(label_flip);
-  const double y_set = lf * 1.0;
-  const double y_clear = lf * (layout.labeled ? -1.0 : 0.0);
-  const LinkKind kind = link.link_kind();
-  const double param = link.link_param();
-  double z_buf[kBlock];
-  double* g = grad->data();
-#if PMW_MARGIN_SIMD
-  if (simd::Enabled()) {
-    double coeff_buf[kBlock];
-    // Register-resident accumulation over a zero-padded copy of grad;
-    // the copies are exact and padding slots are discarded.
-    alignas(32) double grad_padded[kMaxDim + 4] = {0.0};
-    for (size_t j = 0; j < theta.size(); ++j) grad_padded[j] = g[j];
-    for (size_t i = 0; i < count; i += kBlock) {
-      const size_t n = count - i < kBlock ? count - i : kBlock;
-      ZBlock(entries + i, n, layout, weights, z_buf);
-      for (size_t k = 0; k < n; ++k) {
-        const auto& [index, mass] = entries[i + k];
-        const double y = LabelOf(static_cast<std::uint64_t>(index), layout,
-                                 y_clear, y_set);
-        coeff_buf[k] =
-            mass * EvalLinkDerivative(link, kind, param, z_buf[k], y);
-      }
-      GradScatterAvx2(entries + i, n, layout, weights.neg_c, coeff_buf,
-                      grad_padded);
-    }
-    for (size_t j = 0; j < theta.size(); ++j) g[j] = grad_padded[j];
-    return true;
-  }
-#endif
-  for (size_t i = 0; i < count; i += kBlock) {
-    const size_t n = count - i < kBlock ? count - i : kBlock;
-    ZBlock(entries + i, n, layout, weights, z_buf);
-    for (size_t k = 0; k < n; ++k) {
-      const auto& [index, mass] = entries[i + k];
-      const std::uint64_t idx = static_cast<std::uint64_t>(index);
-      const double y = LabelOf(idx, layout, y_clear, y_set);
-      const double coeff =
-          mass * EvalLinkDerivative(link, kind, param, z_buf[k], y);
-      const std::uint64_t feature_bits = idx >> layout.shift;
-      // coeff * t_j as +-(coeff * c_j): exact by sign symmetry, (entry, j)
-      // order matches the generic scatter.
-      for (int j = 0; j < layout.dim; ++j) {
-        const double gj = coeff * weights.c[j];
-        g[j] += ((feature_bits >> j) & 1u) != 0 ? gj : -gj;
-      }
-    }
-  }
+  WithLink(link, [&](const auto& l) {
+    AddGradient(l, s, entries, count, grad->data());
+  });
   return true;
 }
 

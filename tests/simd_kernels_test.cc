@@ -203,118 +203,220 @@ TEST(SimdPrimitiveTest, SubScalarAndDivScalarToMatchBitwise) {
 // fallback convex::SupportObjective runs when BatchValue declines).
 // ---------------------------------------------------------------------------
 
+/// A margin loss with no LinkKind: the kernels must run its virtual Link.
+class OffsetSquaredLoss : public losses::MarginLoss {
+ public:
+  explicit OffsetSquaredLoss(int dim) : MarginLoss(dim) {}
+  double Link(double z, double y) const override {
+    return 0.5 * (z - 0.25 * y) * (z - 0.25 * y);
+  }
+  double LinkDerivative(double z, double y) const override {
+    return z - 0.25 * y;
+  }
+  double lipschitz() const override { return 2.0; }
+  std::string name() const override { return "offset-squared"; }
+};
+
+using Support = std::vector<std::pair<int, double>>;
+
 class MarginKernelTest : public ::testing::Test {
  protected:
-  MarginKernelTest() : universe_(5) {  // |X| = 2^6 = 64
-    Rng rng(404);
-    const int dim = universe_.dim();
-    double norm_sq = 0.0;
-    for (int j = 0; j < dim; ++j) {
-      theta_.push_back(rng.Uniform(-1.0, 1.0));
-      norm_sq += theta_.back() * theta_.back();
+  /// BitsEq, except that any two NaNs match: a NaN's sign and payload
+  /// depend on which operand the compiler put first, not on the kernels.
+  static ::testing::AssertionResult SameBits(double got, double want) {
+    if (std::isnan(got) && std::isnan(want)) {
+      return ::testing::AssertionSuccess();
     }
-    const double norm = std::sqrt(norm_sq);
-    for (double& t : theta_) t /= std::max(1.0, norm);
-    // A support with gaps and a count that is NOT a multiple of 4, so
-    // the kernels' tail path runs.
-    for (int i = 0; i < universe_.size(); ++i) {
-      if (i % 9 == 4) continue;
-      entries_.emplace_back(i, rng.Uniform(0.0, 1.0));
-    }
-    for (int j = 0; j < dim; ++j) flips_.push_back(j % 2 == 0 ? -1 : 1);
+    return BitsEq(got, want);
   }
 
   /// The generic path: materialize the (optionally transformed) row and
-  /// go through the virtual Value/AddGradient, accumulating in entry
-  /// order — exactly SupportObjective's fallback loop.
-  double GenericValue(const losses::MarginLoss& loss, const int* flips,
-                      int label_flip) const {
-    double acc = 0.0;
-    for (const auto& [index, mass] : entries_) {
-      data::Row row = universe_.row(index);
-      if (flips != nullptr) {
-        for (size_t j = 0; j < row.features.size(); ++j) {
-          row.features[j] = static_cast<double>(flips[j]) * row.features[j];
-        }
+  /// go through the base margin loss's virtual Value/AddGradient,
+  /// accumulating in entry order — exactly SupportObjective's fallback
+  /// loop.
+  static data::Row Transformed(const data::Universe& universe, int index,
+                               const std::vector<int>* flips,
+                               int label_flip) {
+    data::Row row = universe.row(index);
+    if (flips != nullptr) {
+      for (size_t j = 0; j < row.features.size(); ++j) {
+        row.features[j] = static_cast<double>((*flips)[j]) * row.features[j];
       }
-      row.label = static_cast<double>(label_flip) * row.label;
-      acc += mass * loss.Value(theta_, row);
     }
-    return acc;
+    row.label = static_cast<double>(label_flip) * row.label;
+    return row;
   }
 
-  convex::Vec GenericGradient(const losses::MarginLoss& loss,
-                              const int* flips, int label_flip) const {
-    convex::Vec grad(theta_.size(), 0.0);
-    for (const auto& [index, mass] : entries_) {
-      data::Row row = universe_.row(index);
-      if (flips != nullptr) {
-        for (size_t j = 0; j < row.features.size(); ++j) {
-          row.features[j] = static_cast<double>(flips[j]) * row.features[j];
-        }
-      }
-      row.label = static_cast<double>(label_flip) * row.label;
-      loss.AddGradient(theta_, row, mass, &grad);
+  /// Checks one loss's BatchValue/BatchAddGradient (the kernels' two entry
+  /// points) against the generic loop, with SIMD off and on. `flips` and
+  /// `label_flip` describe the transform `loss` applies to `base`.
+  static void CheckLoss(const convex::LossFunction& loss,
+                        const losses::MarginLoss& base,
+                        const std::vector<int>* flips, int label_flip,
+                        const data::Universe& universe,
+                        const convex::Vec& theta, const Support& entries,
+                        const std::string& context) {
+    double want = 0.0;
+    convex::Vec want_grad(theta.size(), 0.0);
+    for (const auto& [index, mass] : entries) {
+      const data::Row row = Transformed(universe, index, flips, label_flip);
+      want += mass * base.Value(theta, row);
+      base.AddGradient(theta, row, mass, &want_grad);
     }
-    return grad;
-  }
-
-  void CheckLoss(const losses::MarginLoss& loss, const int* flips,
-                 int label_flip, const std::string& context) {
     SimdToggleGuard guard;
-    const double want = GenericValue(loss, flips, label_flip);
-    const convex::Vec want_grad = GenericGradient(loss, flips, label_flip);
     for (bool simd_on : {false, true}) {
       if (simd_on && !simd::Available()) continue;
       simd::SetEnabled(simd_on);
-      const std::string where =
-          context + (simd_on ? " [simd on]" : " [simd off]");
+      const std::string where = context + " " + loss.name() +
+                                (simd_on ? " [simd on]" : " [simd off]");
       double acc = 0.0;
-      ASSERT_TRUE(losses::kernels::HypercubeMarginValue(
-          loss, theta_, universe_, flips, label_flip, entries_.data(),
-          entries_.size(), &acc))
+      ASSERT_TRUE(loss.BatchValue(theta, universe, entries.data(),
+                                  entries.size(), &acc))
           << where;
-      EXPECT_TRUE(BitsEq(acc, want)) << where;
-      convex::Vec grad(theta_.size(), 0.0);
-      ASSERT_TRUE(losses::kernels::HypercubeMarginAddGradient(
-          loss, theta_, universe_, flips, label_flip, entries_.data(),
-          entries_.size(), &grad))
+      EXPECT_TRUE(SameBits(acc, want)) << where;
+      convex::Vec grad(theta.size(), 0.0);
+      ASSERT_TRUE(loss.BatchAddGradient(theta, universe, entries.data(),
+                                        entries.size(), &grad))
           << where;
       for (size_t j = 0; j < grad.size(); ++j) {
-        EXPECT_TRUE(BitsEq(grad[j], want_grad[j])) << where << " coord " << j;
+        EXPECT_TRUE(SameBits(grad[j], want_grad[j])) << where << " coord " << j;
       }
     }
   }
 
-  data::LabeledHypercubeUniverse universe_;
-  convex::Vec theta_;
-  std::vector<std::pair<int, double>> entries_;
-  std::vector<int> flips_;
+  /// Every link kind (Huber at both an interior and a kink-hitting
+  /// delta, plus a kind-less subclass), each plain and through
+  /// SignFlipLoss with coordinate and label flips.
+  static void CheckEveryLink(const data::Universe& universe, int dim,
+                             const convex::Vec& theta, const Support& entries,
+                             const std::string& context) {
+    const losses::SquaredLoss squared(dim);
+    const losses::LogisticLoss logistic(dim);
+    const losses::HingeLoss hinge(dim);
+    const losses::AbsoluteLoss absolute(dim);
+    const losses::HuberLoss huber(dim, 0.7);
+    const losses::HuberLoss huber_wide(dim, 2.0);
+    const OffsetSquaredLoss generic(dim);
+    const losses::MarginLoss* all[] = {
+        &squared, &logistic, &hinge, &absolute, &huber, &huber_wide, &generic};
+    std::vector<int> alternating, none(static_cast<size_t>(dim), 1);
+    for (int j = 0; j < dim; ++j) alternating.push_back(j % 2 == 0 ? -1 : 1);
+    for (const losses::MarginLoss* base : all) {
+      CheckLoss(*base, *base, nullptr, 1, universe, theta, entries, context);
+      for (const std::vector<int>* flips : {&alternating, &none}) {
+        for (int label_flip : {1, -1}) {
+          const losses::SignFlipLoss flipped(base, *flips, label_flip);
+          CheckLoss(flipped, *base, flips, label_flip, universe, theta,
+                    entries, context);
+        }
+      }
+    }
+  }
+
+  static convex::Vec RandomTheta(int dim, Rng* rng) {
+    convex::Vec theta;
+    for (int j = 0; j < dim; ++j) theta.push_back(rng->Uniform(-1.0, 1.0));
+    return theta;
+  }
+
+  /// Every row except those with index % 9 == 4, truncated to `count`.
+  static Support GappedSupport(const data::Universe& universe, size_t count,
+                               Rng* rng) {
+    Support entries;
+    for (int i = 0; i < universe.size() && entries.size() < count; ++i) {
+      if (i % 9 == 4) continue;
+      entries.emplace_back(i, rng->Uniform(0.0, 1.0));
+    }
+    return entries;
+  }
 };
 
 TEST_F(MarginKernelTest, EveryLinkMatchesGenericRowLoopBitwise) {
-  // The support was built with gaps so the kernels' tail path runs.
-  ASSERT_NE(entries_.size() % 4, 0u);
-  const int dim = universe_.dim();
-  const losses::SquaredLoss squared(dim);
-  const losses::LogisticLoss logistic(dim);
-  const losses::HingeLoss hinge(dim);
-  const losses::AbsoluteLoss absolute(dim);
-  const losses::HuberLoss huber(dim, 0.7);
-  const losses::MarginLoss* all[] = {&squared, &logistic, &hinge, &absolute,
-                                     &huber};
-  for (const losses::MarginLoss* loss : all) {
-    CheckLoss(*loss, nullptr, 1, loss->name());
+  const data::LabeledHypercubeUniverse universe(5);  // |X| = 64
+  Rng rng(404);
+  const convex::Vec theta = RandomTheta(5, &rng);
+  // Gapped supports at every count mod 4 (the quad loop's tails), and
+  // ones smaller than the 2^5-entry table, which shrink it.
+  for (size_t count : {1, 2, 3, 5, 6, 7, 17, 40, 53, 54, 55, 56}) {
+    const Support entries = GappedSupport(universe, count, &rng);
+    ASSERT_EQ(entries.size(), count);
+    CheckEveryLink(universe, 5, theta, entries,
+                   "d=5 count=" + std::to_string(count));
   }
 }
 
-TEST_F(MarginKernelTest, SignFlipsFoldIntoWeightsBitwise) {
-  const int dim = universe_.dim();
-  const losses::LogisticLoss logistic(dim);
-  const losses::HingeLoss hinge(dim);
-  CheckLoss(logistic, flips_.data(), -1, "logistic flipped");
-  CheckLoss(hinge, flips_.data(), 1, "hinge coord-flipped");
-  CheckLoss(logistic, nullptr, -1, "logistic label-flipped");
+TEST_F(MarginKernelTest, WiderAndUnlabeledUniversesMatchBitwise) {
+  // d = 10 fills the prefix table exactly; d = 12 leaves two coordinates
+  // to the per-lane adds; the unlabeled cube has label 0 and no label bit.
+  const data::LabeledHypercubeUniverse d10(10);
+  const data::LabeledHypercubeUniverse d12(12);
+  const data::HypercubeUniverse unlabeled(8);
+  Rng rng(405);
+  for (const data::Universe* universe :
+       {static_cast<const data::Universe*>(&d10),
+        static_cast<const data::Universe*>(&d12),
+        static_cast<const data::Universe*>(&unlabeled)}) {
+    const int dim = universe->feature_dim();
+    const convex::Vec theta = RandomTheta(dim, &rng);
+    const size_t full = GappedSupport(*universe, universe->size(), &rng).size();
+    for (size_t count : {full, full - 1, full - 2, full - 3, size_t{11}}) {
+      CheckEveryLink(*universe, dim, theta,
+                     GappedSupport(*universe, count, &rng),
+                     universe->name() + " count=" + std::to_string(count));
+    }
+  }
+}
+
+TEST_F(MarginKernelTest, StridedSupportWiderThanTheTableMatchesBitwise) {
+  // 2^20 rows; a ~3000-entry strided support keeps the table at 2^10 and
+  // leaves nine coordinates to the per-lane adds.
+  const data::LabeledHypercubeUniverse universe(19);
+  Rng rng(406);
+  const convex::Vec theta = RandomTheta(19, &rng);
+  Support entries;
+  for (int i = 5; i < universe.size(); i += 349) {
+    entries.emplace_back(i, rng.Uniform(0.0, 1.0));
+  }
+  ASSERT_EQ(entries.size() % 4, 1u);
+  CheckEveryLink(universe, 19, theta, entries, "d=19 strided");
+}
+
+TEST_F(MarginKernelTest, KinksSignedZerosAndNaNMatchBitwise) {
+  const data::LabeledHypercubeUniverse d5(5);
+  const data::LabeledHypercubeUniverse d10(10);
+  const data::HypercubeUniverse unlabeled(8);
+  for (const data::Universe* universe :
+       {static_cast<const data::Universe*>(&d5),
+        static_cast<const data::Universe*>(&d10),
+        static_cast<const data::Universe*>(&unlabeled)}) {
+    const int dim = universe->feature_dim();
+    Rng rng(407);
+    const Support entries = GappedSupport(*universe, universe->size(), &rng);
+    // One non-zero coordinate t with t * scale == 1.0 exactly, so every
+    // z is +-1.0: hinge's 1 - y * z == 0, absolute's z == y and Huber's
+    // |z - y| == delta = 2 all land on their kinks.
+    const double scale = std::abs(universe->row(0).features[0]);
+    double t = 1.0 / scale;
+    for (int step = 0; step < 16 && t * scale != 1.0; ++step) {
+      t = std::nextafter(t, step % 2 == 0 ? 0.0 : 10.0);
+    }
+    ASSERT_EQ(t * scale, 1.0) << universe->name();
+    convex::Vec kink(static_cast<size_t>(dim), 0.0);
+    kink[static_cast<size_t>(dim / 2)] = t;
+    CheckEveryLink(*universe, dim, kink, entries,
+                   universe->name() + " z=+-1");
+    // Signed zeros: -0.0 coordinates make -0.0 terms in z.
+    convex::Vec zeros = RandomTheta(dim, &rng);
+    for (int j = 0; j < dim; j += 2) zeros[j] = j % 4 == 0 ? 0.0 : -0.0;
+    CheckEveryLink(*universe, dim, zeros, entries,
+                   universe->name() + " +-0");
+    // A NaN z: hinge must still pick 0 for the value and the derivative,
+    // absolute's derivative must be 0.
+    convex::Vec nan_theta = RandomTheta(dim, &rng);
+    nan_theta[0] = std::numeric_limits<double>::quiet_NaN();
+    CheckEveryLink(*universe, dim, nan_theta, entries,
+                   universe->name() + " NaN");
+  }
 }
 
 TEST_F(MarginKernelTest, DeclinesNonHypercubeUniversesUntouched) {
@@ -323,26 +425,28 @@ TEST_F(MarginKernelTest, DeclinesNonHypercubeUniversesUntouched) {
   // theta — must be declined with the accumulators untouched.
   std::vector<data::Row> rows(4);
   for (size_t i = 0; i < rows.size(); ++i) {
-    rows[i].features = {0.5, -0.25, 0.125, 0.0625, -0.5, 0.25};
+    rows[i].features = {0.5, -0.25, 0.125, 0.0625, -0.5};
     rows[i].label = i % 2 == 0 ? 1.0 : -1.0;
   }
   const data::VectorUniverse generic(rows, "custom");
-  const losses::LogisticLoss loss(universe_.dim());
+  Rng rng(408);
+  const convex::Vec theta = RandomTheta(5, &rng);
+  const losses::LogisticLoss loss(5);
   const std::pair<int, double> entry{0, 0.5};
   double acc = 1.25;
   EXPECT_FALSE(losses::kernels::HypercubeMarginValue(
-      loss, theta_, generic, nullptr, 1, &entry, 1, &acc));
+      loss, theta, generic, nullptr, 1, &entry, 1, &acc));
   EXPECT_TRUE(BitsEq(acc, 1.25));
-  convex::Vec grad(theta_.size(), 0.75);
+  convex::Vec grad(theta.size(), 0.75);
   EXPECT_FALSE(losses::kernels::HypercubeMarginAddGradient(
-      loss, theta_, generic, nullptr, 1, &entry, 1, &grad));
+      loss, theta, generic, nullptr, 1, &entry, 1, &grad));
   for (double g : grad) EXPECT_TRUE(BitsEq(g, 0.75));
 
   // Dimension mismatch against a REAL hypercube universe declines too.
   const data::LabeledHypercubeUniverse wider(7);
   double acc2 = 0.0;
   EXPECT_FALSE(losses::kernels::HypercubeMarginValue(
-      loss, theta_, wider, nullptr, 1, &entry, 1, &acc2));
+      loss, theta, wider, nullptr, 1, &entry, 1, &acc2));
 }
 
 // ---------------------------------------------------------------------------
