@@ -365,13 +365,30 @@ double TimeKernelLoops(const std::vector<double>& base,
 struct SimdRun {
   double kernel_ms = 0.0;
   double update_ms = 0.0;
+  /// FNV-1a over the final hypothesis content (ContentFingerprint).
   uint64_t fingerprint = 0;
 };
 
+/// FNV-1a over every support entry's index and mass bits, as
+/// serve::EpochState fingerprints a slice: any moved bit changes it.
+uint64_t ContentFingerprint(const data::HistogramSupport& support) {
+  uint64_t hash = 1469598103934665603ull;
+  const auto mix = [&hash](uint64_t word) {
+    hash = (hash ^ word) * 1099511628211ull;
+  };
+  for (const auto& [index, mass] : support) {
+    mix(static_cast<uint64_t>(static_cast<uint32_t>(index)));
+    uint64_t mass_bits;
+    std::memcpy(&mass_bits, &mass, sizeof(mass_bits));
+    mix(mass_bits);
+  }
+  return hash;
+}
+
 /// One full measurement at a fixed simd setting: the kernel-loop pass
 /// plus kSimdUpdates real MultiplicativeUpdate calls on a fresh
-/// hypothesis (same payoffs both settings, so the final fingerprints
-/// must be bit-identical).
+/// hypothesis (same payoffs both settings, so the final content
+/// fingerprints must be bit-identical).
 SimdRun RunSimdAt(bool simd_on, const std::vector<double>& base,
                   const std::vector<double>& src,
                   const std::vector<std::vector<double>>& payoffs,
@@ -390,14 +407,14 @@ SimdRun RunSimdAt(bool simd_on, const std::vector<double>& base,
     }
   }
   run.update_ms = timer.ElapsedSeconds() * 1e3;
-  run.fingerprint = hypothesis.fingerprint();
+  run.fingerprint = ContentFingerprint(hypothesis.CompactSupport());
   return run;
 }
 
 /// The SIMD on/off sweep (`--simd=on|off`): gates the vectorized
 /// reweigh+normalize inner loops at >= 1.3x (on vs off) and asserts the
 /// end-to-end MW update is bit-identical across the two paths (equal
-/// hypothesis fingerprints after identical update sequences). `gated`
+/// hypothesis content fingerprints after identical update sequences). `gated`
 /// applies the 1.3x gate (--simd=on, the CI invocation); --simd=off
 /// records the same artifact without failing, for baseline collection.
 /// Without AVX2 the comparison would be scalar-vs-scalar, so the run

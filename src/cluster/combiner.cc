@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "api/error.h"
+#include "cluster/slice_host.h"
 
 namespace pmw {
 namespace cluster {
@@ -449,7 +450,12 @@ void Combiner::MaybeCheckpoint() {
       status = RawCall(&worker, rpc, &reply);
       if (!status.ok()) return;
     }
-    if (reply.answer.size() % 2 != 0) return;
+    // Only a reply that would pass the worker's own kRestore check may
+    // become a checkpoint.
+    if (!DecodeIndexPairs(reply.answer, worker.domain_lo, worker.domain_hi)
+             .ok()) {
+      return;
+    }
     staged[w] = std::move(reply.answer);
   }
   for (size_t w = 0; w < workers_.size(); ++w) {
@@ -483,14 +489,16 @@ Result<data::HistogramSupport> Combiner::Snapshot(int lo, int hi) {
       status = RawCall(&worker, rpc, &reply);
       if (!status.ok()) return status;
     }
-    if (reply.answer.size() % 2 != 0) {
-      return api::MakeStatus(api::ErrorCode::kInternal,
-                             "combiner: snapshot reply has odd payload");
+    // A faulty worker's reply must not reach the epoch snapshot, whose
+    // indices address universe rows.
+    Result<data::HistogramSupport> slice =
+        DecodeIndexPairs(reply.answer, slice_lo, slice_hi);
+    if (!slice.ok()) {
+      return api::MakeStatus(
+          api::ErrorCode::kInternal,
+          "combiner: snapshot reply rejected: " + slice.status().message());
     }
-    for (size_t k = 0; k + 1 < reply.answer.size(); k += 2) {
-      support.emplace_back(static_cast<int>(reply.answer[k]),
-                           reply.answer[k + 1]);
-    }
+    support.insert(support.end(), slice.value().begin(), slice.value().end());
   }
   return support;
 }

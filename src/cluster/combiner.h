@@ -2,15 +2,17 @@
 // a core::HypothesisDelegate that fans each phase out to shard-group
 // worker processes over TCP and folds nothing itself.
 //
-// Determinism. The delegate contract (core/sharded_hypothesis.h) keeps
-// BOTH cross-shard folds — the max fold and the fixed-tree normalizer
-// fold (PairwiseSum order) — on the front door's single-writer thread,
-// exactly where the in-process ShardRouter runs them. The combiner only
-// moves per-shard phase work to workers and copies their per-shard
-// outputs back into shard order; with workers performing the exact
-// in-process arithmetic (cluster/slice_host.h), transcripts are
-// bit-identical to sequential PmwCm at every (workers x shards x
-// threads x transport) configuration.
+// Determinism. ShardedHypothesis drives every storage through the same
+// sequence and keeps BOTH cross-shard folds — the max fold and the
+// fixed-tree normalizer fold — on the front door's single-writer
+// thread, so with a combiner installed they run exactly where they run
+// for local storage. The combiner only moves per-shard phase work to
+// workers and copies their per-shard outputs back into shard order; the
+// workers run core::DenseSlice, the front door's own dense storage
+// (cluster/slice_host.h), so transcripts are bit-identical to
+// sequential PmwCm at every (workers x shards x threads x transport)
+// configuration. Snapshot replies pass DecodeIndexPairs before they
+// reach an epoch snapshot or a checkpoint.
 //
 // Recovery. The combiner logs every completed update's inputs (payoff,
 // eta, global_max, total — precisely the four values the delegate
@@ -33,9 +35,9 @@
 // replaying every update ever committed. Checkpoint restore preserves
 // bit-identity because kSnapshot round-trips the slice's exact doubles
 // and the only non-positive weight the update arithmetic can produce is
-// +0.0 (see SliceHost::Restore), and the commit is atomic: the log is
-// truncated only after every worker's capture succeeded at the same
-// sequence number.
+// +0.0 (see core::DenseSlice::Restore), and the commit is atomic: the
+// log is truncated only after every worker's capture succeeded at the
+// same sequence number.
 //
 // Threading: PmwCm calls the delegate only from the single serving
 // writer, but every entry point locks anyway — stats() and a future
@@ -115,10 +117,11 @@ class Combiner : public core::HypothesisDelegate {
 
   /// Partitions [0, domain_size) with core::PartitionDomain(domain_size,
   /// num_shards) — num_shards must be the already-clamped power-of-two
-  /// count the front door's ShardedHypothesis settled on (its
-  /// ConfigureSharding return value) — assigns each worker a contiguous
+  /// count the front door's ConfigureSharding settles on (the size of
+  /// that same PartitionDomain call) — assigns each worker a contiguous
   /// shard group, connects, hellos, and configures them. Must succeed
-  /// before the delegate is installed; typed error otherwise.
+  /// before the combiner is passed to ConfigureSharding; typed error
+  /// otherwise.
   Status Connect(int domain_size, int num_shards);
 
   // --- core::HypothesisDelegate ---

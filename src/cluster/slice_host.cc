@@ -1,12 +1,10 @@
 #include "cluster/slice_host.h"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <string>
+#include <utility>
 
 #include "api/error.h"
-#include "common/math_util.h"
 
 namespace pmw {
 namespace cluster {
@@ -18,6 +16,54 @@ Status WorkerError(const std::string& detail) {
 }
 
 }  // namespace
+
+std::vector<double> EncodeIndexPairs(const data::HistogramSupport& support) {
+  std::vector<double> pairs;
+  pairs.reserve(support.size() * 2);
+  for (const auto& [index, value] : support) {
+    pairs.push_back(static_cast<double>(index));
+    pairs.push_back(value);
+  }
+  return pairs;
+}
+
+Result<data::HistogramSupport> DecodeIndexPairs(
+    const std::vector<double>& pairs, int lo, int hi) {
+  const auto malformed = [](const std::string& detail) {
+    return api::MakeStatus(api::ErrorCode::kMalformedRequest,
+                           "index pairs: " + detail);
+  };
+  if (pairs.size() % 2 != 0) {
+    return malformed("odd payload length " + std::to_string(pairs.size()));
+  }
+  data::HistogramSupport support;
+  support.reserve(pairs.size() / 2);
+  for (size_t k = 0; k < pairs.size(); k += 2) {
+    const double raw = pairs[k];
+    const double value = pairs[k + 1];
+    // Compare as doubles first: NaN fails both tests, and only values
+    // inside [lo, hi) — hence inside int — are ever converted.
+    if (!(raw >= lo && raw < hi)) {
+      return malformed("index " + std::to_string(raw) + " outside [" +
+                       std::to_string(lo) + ", " + std::to_string(hi) + ")");
+    }
+    const int index = static_cast<int>(raw);
+    if (static_cast<double>(index) != raw) {
+      return malformed("index " + std::to_string(raw) + " is not an integer");
+    }
+    if (!support.empty() && index <= support.back().first) {
+      return malformed("index " + std::to_string(index) +
+                       " does not increase past " +
+                       std::to_string(support.back().first));
+    }
+    if (!(value > 0.0) || !std::isfinite(value)) {
+      return malformed("value " + std::to_string(value) + " at index " +
+                       std::to_string(index) + " is not a positive mass");
+    }
+    support.emplace_back(index, value);
+  }
+  return support;
+}
 
 Status SliceHost::Configure(int domain_size, int num_shards, int group_lo,
                             int group_hi) {
@@ -43,16 +89,9 @@ Status SliceHost::Configure(int domain_size, int num_shards, int group_lo,
                        std::to_string(group_hi) + ") out of bounds for " +
                        std::to_string(partition.size()) + " shards");
   }
-  group_lo_ = group_lo;
-  group_hi_ = group_hi;
-  shards_.assign(partition.begin() + group_lo, partition.begin() + group_hi);
-  base_ = shards_.front().lo;
-  end_ = shards_.back().hi;
-  // The uniform start state D_hat_1, exactly as ShardedHypothesis's
-  // constructor writes it: 1.0 / size for every element.
-  const double uniform = 1.0 / static_cast<double>(domain_size);
-  p_.assign(static_cast<size_t>(end_ - base_), uniform);
-  scratch_.assign(static_cast<size_t>(end_ - base_), 0.0);
+  std::vector<core::HypothesisShard> group(partition.begin() + group_lo,
+                                           partition.begin() + group_hi);
+  slice_.emplace(domain_size, std::move(group));
   updates_applied_ = 0;
   phase_ = Phase::kIdle;
   return Status::Ok();
@@ -71,26 +110,13 @@ Status SliceHost::Reweigh(uint64_t update_seq,
                        " does not match applied count " +
                        std::to_string(updates_applied_));
   }
-  if (payoff.size() != static_cast<size_t>(end_ - base_)) {
+  if (payoff.size() != static_cast<size_t>(end() - base())) {
     return WorkerError("reweigh: payoff slice has " +
                        std::to_string(payoff.size()) + " entries, owned " +
-                       "range has " + std::to_string(end_ - base_));
-  }
-  local_max->clear();
-  local_max->reserve(shards_.size());
-  // Phase 1 of DenseMultiplicativeUpdate over the owned shards, at
-  // slice-local offsets: same values, same order, same arithmetic.
-  for (const core::HypothesisShard& shard : shards_) {
-    double shard_max = -std::numeric_limits<double>::infinity();
-    for (int i = shard.lo; i < shard.hi; ++i) {
-      const size_t j = static_cast<size_t>(i - base_);
-      scratch_[j] = SafeLog(p_[j]) + eta * payoff[j];
-      shard_max = std::max(shard_max, scratch_[j]);
-    }
-    local_max->push_back(shard_max);
+                       "range has " + std::to_string(end() - base()));
   }
   phase_ = Phase::kReweighed;
-  return Status::Ok();
+  return slice_->Reweigh(payoff, eta, local_max);
 }
 
 Status SliceHost::Partials(uint64_t update_seq, double global_max,
@@ -102,22 +128,8 @@ Status SliceHost::Partials(uint64_t update_seq, double global_max,
         " is not the reweighed update (applied count " +
         std::to_string(updates_applied_) + ")");
   }
-  local_sum->clear();
-  local_sum->reserve(shards_.size());
-  // Phase 2: stabilize and sum each owned shard. PairwiseSum's split
-  // rule depends only on the range length, so summing at slice-local
-  // offsets yields the front door's subtree value bit-for-bit.
-  for (const core::HypothesisShard& shard : shards_) {
-    for (int i = shard.lo; i < shard.hi; ++i) {
-      const size_t j = static_cast<size_t>(i - base_);
-      scratch_[j] = std::exp(scratch_[j] - global_max);
-    }
-    local_sum->push_back(PairwiseSum(scratch_.data(),
-                                     static_cast<size_t>(shard.lo - base_),
-                                     static_cast<size_t>(shard.hi - base_)));
-  }
   phase_ = Phase::kSummed;
-  return Status::Ok();
+  return slice_->PartialSums(global_max, local_sum);
 }
 
 Status SliceHost::Normalize(uint64_t update_seq, double total) {
@@ -128,58 +140,36 @@ Status SliceHost::Normalize(uint64_t update_seq, double total) {
         " is not the summed update (applied count " +
         std::to_string(updates_applied_) + ")");
   }
-  for (const core::HypothesisShard& shard : shards_) {
-    for (int i = shard.lo; i < shard.hi; ++i) {
-      const size_t j = static_cast<size_t>(i - base_);
-      p_[j] = scratch_[j] / total;
-    }
-  }
   ++updates_applied_;
   phase_ = Phase::kIdle;
-  return Status::Ok();
+  return slice_->Normalize(total);
 }
 
 Status SliceHost::Restore(uint64_t update_seq,
                           const std::vector<double>& pairs) {
   if (!configured()) return WorkerError("restore before configure");
-  if (pairs.size() % 2 != 0) {
-    return WorkerError("restore: payload is not (index, value) pairs");
+  // Decode in full before touching the slice: a half-applied restore
+  // would leave it in a state no replay can fix.
+  Result<data::HistogramSupport> entries =
+      DecodeIndexPairs(pairs, base(), end());
+  if (!entries.ok()) {
+    return WorkerError("restore: " + entries.status().message());
   }
-  // Validate every index before touching p_: a half-applied restore
-  // would leave the slice in a state no replay can fix.
-  for (size_t k = 0; k < pairs.size(); k += 2) {
-    const double raw = pairs[k];
-    const int index = static_cast<int>(raw);
-    if (static_cast<double>(index) != raw || index < base_ || index >= end_) {
-      return WorkerError("restore: index " + std::to_string(raw) +
-                         " outside owned [" + std::to_string(base_) + ", " +
-                         std::to_string(end_) + ")");
-    }
-  }
-  std::fill(p_.begin(), p_.end(), 0.0);
-  for (size_t k = 0; k < pairs.size(); k += 2) {
-    p_[static_cast<size_t>(static_cast<int>(pairs[k]) - base_)] =
-        pairs[k + 1];
-  }
+  slice_->Restore(entries.value());
   updates_applied_ = update_seq;
   phase_ = Phase::kIdle;
   return Status::Ok();
 }
 
-Result<data::HistogramSupport> SliceHost::Snapshot(int lo, int hi) const {
+Result<data::HistogramSupport> SliceHost::Snapshot(int lo, int hi) {
   if (!configured()) return WorkerError("snapshot before configure");
-  if (lo < base_ || hi > end_ || lo > hi) {
+  if (lo < base() || hi > end() || lo > hi) {
     return WorkerError("snapshot: range [" + std::to_string(lo) + ", " +
                        std::to_string(hi) + ") outside owned [" +
-                       std::to_string(base_) + ", " + std::to_string(end_) +
-                       ")");
+                       std::to_string(base()) + ", " +
+                       std::to_string(end()) + ")");
   }
-  data::HistogramSupport support;
-  for (int i = lo; i < hi; ++i) {
-    const double probability = p_[static_cast<size_t>(i - base_)];
-    if (probability > 0.0) support.emplace_back(i, probability);
-  }
-  return support;
+  return slice_->Snapshot(lo, hi);
 }
 
 }  // namespace cluster

@@ -1,31 +1,32 @@
 // cluster::SliceHost — the worker-side half of the distributed MW
-// update: a contiguous slice of the dense hypothesis plus the three
-// per-shard phases of ShardedHypothesis::DenseMultiplicativeUpdate,
-// executed over the owned shard group only.
+// update: a core::DenseSlice over the owned shard group, behind the
+// checks a process answering wire requests needs.
 //
-// Bit-identity is the entire design. The host derives its shard ranges
-// from core::PartitionDomain — the SAME function the front door's
-// ShardedHypothesis uses — so shard boundaries agree across processes by
-// construction, and each phase performs exactly the in-process
-// arithmetic (SafeLog + eta * payoff with a left-to-right local max;
-// exp(x - global_max) and PairwiseSum over the shard range; divide by
-// total). PairwiseSum's reduction tree depends only on range LENGTH, so
-// summing the owned slice at local offsets reproduces the front-door
-// subtree values exactly. Both cross-shard folds (the max fold and the
+// Bit-identity is the entire design, and it holds by construction. The
+// host derives its shard ranges from core::PartitionDomain — the SAME
+// function the front door's ShardedHypothesis uses — so shard boundaries
+// agree across processes, and every phase runs core::DenseSlice, the
+// same code (and the same SIMD kernels) as the front door's local dense
+// storage. A slice's reduction tree depends only on range length, so
+// the owned slice at its domain offset reproduces the front door's
+// per-shard values exactly. Both cross-shard folds (the max fold and the
 // fixed-tree normalizer fold) stay on the front door's single-writer
-// thread — this file never folds across shards.
+// thread; this directory holds no MW arithmetic at all.
 //
-// Phase sequencing doubles as crash detection: every phase carries the
-// update sequence number it belongs to, and the host rejects anything
-// out of order with a typed error. A freshly restarted (hence
-// reconfigured, seq 0) worker therefore cannot silently serve a
-// combiner that is mid-transcript — the combiner sees the rejection and
-// replays its update log to rebuild the slice (see cluster/combiner.h).
+// What the host adds is validation. Phase sequencing doubles as crash
+// detection: every phase carries the update sequence number it belongs
+// to, and the host rejects anything out of order with a typed error. A
+// freshly restarted (hence reconfigured, seq 0) worker therefore cannot
+// silently serve a combiner that is mid-transcript — the combiner sees
+// the rejection and replays its update log to rebuild the slice (see
+// cluster/combiner.h). Payload sizes, snapshot ranges and restore pairs
+// are checked before they reach the slice.
 
 #ifndef PMWCM_CLUSTER_SLICE_HOST_H_
 #define PMWCM_CLUSTER_SLICE_HOST_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -34,6 +35,20 @@
 
 namespace pmw {
 namespace cluster {
+
+/// Interleaves `support` as (index, value) doubles: the wire form of the
+/// kSnapshot reply and the kRestore payload. Indices are ints, so the
+/// double round trip is exact.
+std::vector<double> EncodeIndexPairs(const data::HistogramSupport& support);
+
+/// Decodes interleaved (index, value) doubles that came off the wire.
+/// Each index is range-checked against [lo, hi) while still a double (so
+/// NaN, ±inf and values outside int never reach a conversion), then must
+/// be an integer and strictly greater than the one before; each value
+/// must be positive and finite, as Snapshot emits them. Any violation,
+/// or an odd payload length, is a typed kMalformedRequest error.
+Result<data::HistogramSupport> DecodeIndexPairs(
+    const std::vector<double>& pairs, int lo, int hi);
 
 class SliceHost {
  public:
@@ -67,39 +82,27 @@ class SliceHost {
   /// The strictly-positive entries of [lo, hi) — which must lie within
   /// the owned domain range — in index order, exactly what the front
   /// door's CompactSupport(lo, hi) would emit.
-  Result<data::HistogramSupport> Snapshot(int lo, int hi) const;
+  Result<data::HistogramSupport> Snapshot(int lo, int hi);
 
-  /// Installs a checkpointed slice: `pairs` is interleaved (index, value)
-  /// doubles — a Snapshot answer over the whole owned range round-tripped
-  /// — and `update_seq` becomes the applied count. Entries absent from
-  /// the checkpoint are exactly +0.0 (the only non-positive value the
-  /// update arithmetic can produce: weights are quotients of exp(...)
-  /// >= 0 by a positive total), so the restored slice is byte-identical
-  /// to the slice the checkpoint was taken from. Requires Configure
-  /// first; resets the phase machine to idle.
+  /// Installs a checkpointed slice: `pairs` is a Snapshot answer over
+  /// the whole owned range in its wire form (EncodeIndexPairs), and
+  /// `update_seq` becomes the applied count. core::DenseSlice::Restore
+  /// rebuilds the slice byte for byte. A payload DecodeIndexPairs
+  /// rejects leaves the slice untouched. Requires Configure first;
+  /// resets the phase machine to idle.
   Status Restore(uint64_t update_seq, const std::vector<double>& pairs);
 
-  bool configured() const { return !shards_.empty(); }
+  bool configured() const { return slice_.has_value(); }
   uint64_t updates_applied() const { return updates_applied_; }
-  /// Owned domain range [base, end).
-  int base() const { return base_; }
-  int end() const { return end_; }
-  int group_size() const { return group_hi_ - group_lo_; }
+  /// Owned domain range [base, end); requires configured().
+  int base() const { return slice_->base(); }
+  int end() const { return slice_->end(); }
 
  private:
   /// Last phase completed for update seq == updates_applied_.
   enum class Phase { kIdle, kReweighed, kSummed };
 
-  /// The owned shards of the global partition (global domain indices).
-  std::vector<core::HypothesisShard> shards_;
-  int group_lo_ = 0;
-  int group_hi_ = 0;
-  /// Domain offset of the owned slice: global index i lives at
-  /// p_[i - base_].
-  int base_ = 0;
-  int end_ = 0;
-  std::vector<double> p_;
-  std::vector<double> scratch_;
+  std::optional<core::DenseSlice> slice_;
   uint64_t updates_applied_ = 0;
   Phase phase_ = Phase::kIdle;
 };

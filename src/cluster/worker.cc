@@ -122,13 +122,7 @@ class ShardWorker::Sink : public api::FrameSink {
               slice.Snapshot(static_cast<int>(rpc.snapshot_lo),
                              static_cast<int>(rpc.snapshot_hi));
           if (support.ok()) {
-            // Interleaved (index, value) pairs; indices this repo can
-            // hold are < 2^53, so the double round-trip is exact.
-            envelope.answer.reserve(support.value().size() * 2);
-            for (const auto& [index, value] : support.value()) {
-              envelope.answer.push_back(static_cast<double>(index));
-              envelope.answer.push_back(value);
-            }
+            envelope.answer = EncodeIndexPairs(support.value());
           } else {
             status = support.status();
           }

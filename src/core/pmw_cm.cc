@@ -91,26 +91,16 @@ Result<PmwAnswer> PmwCm::AnswerQuery(const convex::CmQuery& query) {
   return AnswerPrepared(query, Prepare(query));
 }
 
-int PmwCm::ConfigureSharding(int shards, ShardRunner runner) {
-  return ConfigureSharding(shards, std::move(runner),
-                           HypothesisBackend::kDense);
-}
-
 int PmwCm::ConfigureSharding(int shards, ShardRunner runner,
                              HypothesisBackend backend,
-                             const SparseHypothesisOptions& sparse) {
+                             const SparseHypothesisOptions& sparse,
+                             HypothesisDelegate* delegate) {
   PMW_CHECK_MSG(queries_answered_ == 0 && update_count_ == 0,
                 "sharding must be configured before the first query");
-  hypothesis_.SetBackend(backend, sparse);
-  const int actual = hypothesis_.Repartition(shards);
-  hypothesis_.set_runner(std::move(runner));
-  return actual;
-}
-
-void PmwCm::SetHypothesisDelegate(HypothesisDelegate* delegate) {
-  PMW_CHECK_MSG(queries_answered_ == 0 && update_count_ == 0,
-                "the delegate must be installed before the first query");
-  hypothesis_.SetDelegate(delegate);
+  hypothesis_ = ShardedHypothesis(hypothesis_.size(), shards,
+                                  std::move(runner), backend, sparse,
+                                  delegate);
+  return hypothesis_.num_shards();
 }
 
 HypothesisSnapshot PmwCm::SnapshotHypothesis() const {

@@ -209,38 +209,26 @@ class PmwCm {
   /// update per kTop answer); keys PreparedQuery caches.
   int hypothesis_version() const { return update_count_; }
 
-  /// Partitions the hypothesis into `shards` domain shards (rounded down
-  /// to a power of two, clamped to the universe size) and installs the
-  /// per-shard executor driving the MW-update path's parallel phases
-  /// (null keeps them inline). Must be called before any query is
-  /// answered — the partition is serving topology fixed at startup.
-  /// Sharding NEVER changes answers: at any configuration the update
-  /// arithmetic is bit-identical to the default single shard
-  /// (core/sharded_hypothesis.h explains why). Returns the actual count.
-  int ConfigureSharding(int shards, ShardRunner runner);
-
-  /// As above, additionally selecting the hypothesis storage backend.
-  /// kSparse with default options ("exact mode") keeps transcripts
-  /// bit-identical to kDense; non-default SparseHypothesisOptions opt
-  /// into the documented approx mode (deterministic and replayable, but
-  /// answers may differ from dense within the oracle test's bounds).
+  /// Rebuilds the (still uniform) hypothesis with its serving layout:
+  /// `shards` domain shards (rounded down to a power of two, clamped to
+  /// the universe size), the per-shard executor for the MW update's
+  /// parallel phases (null keeps them inline), the storage backend, and
+  /// optionally a remote executor of those phases (the cluster combiner;
+  /// requires kDense; must outlive the mechanism). Must be called before
+  /// any query is answered. The layout never changes answers
+  /// (core/sharded_hypothesis.h explains why), except sparse approx mode,
+  /// which non-default SparseHypothesisOptions opt into. Returns the
+  /// actual count.
   int ConfigureSharding(int shards, ShardRunner runner,
                         HypothesisBackend backend,
-                        const SparseHypothesisOptions& sparse = {});
-
-  /// Installs a remote executor of the MW update's per-shard phases (the
-  /// cluster combiner; see core/sharded_hypothesis.h). Call after
-  /// ConfigureSharding and before the first query; requires the dense
-  /// backend. Null restores local execution. `delegate` must outlive the
-  /// mechanism. Does not change a single bit of any transcript — the
-  /// delegate contract IS the in-process arithmetic.
-  void SetHypothesisDelegate(HypothesisDelegate* delegate);
+                        const SparseHypothesisOptions& sparse = {},
+                        HypothesisDelegate* delegate = nullptr);
 
   HypothesisBackend hypothesis_backend() const {
     return hypothesis_.backend();
   }
-  /// Hypothesis entries currently materialized (== |X| under kDense) —
-  /// the sparse backend's memory observable.
+  /// Hypothesis entries held in this process (|X| under local kDense,
+  /// 0 with a delegate) — the sparse backend's memory observable.
   long long materialized_entries() const {
     return hypothesis_.materialized_entries();
   }

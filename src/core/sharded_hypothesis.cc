@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstring>
 #include <limits>
 #include <random>
 #include <unordered_map>
@@ -32,6 +31,19 @@ void SplitRange(int lo, int hi, int levels,
   const int mid = lo + (hi - lo) / 2;
   SplitRange(lo, mid, levels - 1, out);
   SplitRange(mid, hi, levels - 1, out);
+}
+
+/// The one shard dispatch: fn(s) for every shard through `runner`, or
+/// inline in shard order without one (or with a single shard).
+void ForEachShard(const ShardRunner& runner,
+                  const std::vector<HypothesisShard>& shards,
+                  const std::function<void(int)>& fn) {
+  const int num_shards = static_cast<int>(shards.size());
+  if (runner != nullptr && num_shards > 1) {
+    runner(num_shards, fn);
+    return;
+  }
+  for (int s = 0; s < num_shards; ++s) fn(s);
 }
 
 /// PairwiseSum over n copies of the same value w, without materializing
@@ -84,404 +96,190 @@ std::vector<HypothesisShard> PartitionDomain(int size, int shards) {
   return out;
 }
 
-ShardedHypothesis::ShardedHypothesis(int size)
-    : size_(size),
-      p_(static_cast<size_t>(size), 1.0 / size),
-      scratch_(static_cast<size_t>(size)) {
-  PMW_CHECK_GE(size, 1);
-  Repartition(1);
+// --- DenseSlice --------------------------------------------------------
+
+DenseSlice::DenseSlice(int domain_size, std::vector<HypothesisShard> shards,
+                       ShardRunner runner)
+    : shards_(std::move(shards)), runner_(std::move(runner)) {
+  PMW_CHECK_GE(domain_size, 1);
+  PMW_CHECK(!shards_.empty());
+  base_ = shards_.front().lo;
+  end_ = shards_.back().hi;
+  const size_t n = static_cast<size_t>(end_ - base_);
+  p_.assign(n, 1.0 / domain_size);
+  scratch_.assign(n, 0.0);
 }
 
-void ShardedHypothesis::SetBackend(HypothesisBackend backend,
-                                   const SparseHypothesisOptions& options) {
-  PMW_CHECK_MSG(update_count_ == 0,
-                "the backend must be selected before the first update");
-  backend_ = backend;
-  sparse_options_ = options;
-  if (backend_ == HypothesisBackend::kSparse) {
-    PMW_CHECK_GE(sparse_options_.payoff_threshold, 0.0);
-    if (sparse_options_.sampled_normalizer) {
-      PMW_CHECK_GE(sparse_options_.normalizer_samples, 1);
-    }
-    // Release the dense arrays: the pristine hypothesis is uniform, so
-    // the sparse representation is just the residual 1/size per shard.
-    p_.clear();
-    p_.shrink_to_fit();
-    scratch_.clear();
-    scratch_.shrink_to_fit();
-    RebuildSparseShards({}, {}, 1.0 / size_);
-  } else {
-    sparse_.clear();
-    sparse_.shrink_to_fit();
-    p_.assign(static_cast<size_t>(size_), 1.0 / size_);
-    scratch_.assign(static_cast<size_t>(size_), 0.0);
-  }
-}
-
-int ShardedHypothesis::Repartition(int shards) {
-  // The partition is fixed before a delegate takes ownership of the
-  // state: repartitioning afterwards would strand worker slices.
-  PMW_CHECK_MSG(delegate_ == nullptr,
-                "Repartition after SetDelegate is not supported");
-  // Preserve sparse content across the boundary change: flatten to one
-  // global sorted view (shards are in domain order, so concatenation is
-  // sorted) and re-bucket after the split. Shards whose residual
-  // diverged from the common one — only possible after updates with a
-  // stale partition, which ConfigureSharding forbids — are materialized
-  // entry by entry so the re-bucketing stays well defined.
-  std::vector<int> flat_touched;
-  std::vector<double> flat_value;
-  double flat_residual = 0.0;
-  if (backend_ == HypothesisBackend::kSparse && !sparse_.empty()) {
-    bool residual_set = false;
-    for (int s = 0; s < num_shards(); ++s) {
-      const SparseShardState& ss = sparse_[static_cast<size_t>(s)];
-      if (ss.touched_count() < shards_[static_cast<size_t>(s)].size() &&
-          !residual_set) {
-        flat_residual = ss.residual;
-        residual_set = true;
-      }
-    }
-    for (int s = 0; s < num_shards(); ++s) {
-      const SparseShardState& ss = sparse_[static_cast<size_t>(s)];
-      const HypothesisShard& shard = shards_[static_cast<size_t>(s)];
-      const bool same_residual =
-          ss.touched_count() == shard.size() ||
-          std::memcmp(&ss.residual, &flat_residual, sizeof(double)) == 0;
-      if (same_residual) {
-        flat_touched.insert(flat_touched.end(), ss.touched.begin(),
-                            ss.touched.end());
-        flat_value.insert(flat_value.end(), ss.value.begin(), ss.value.end());
-      } else {
-        size_t ptr = 0;
-        for (int i = shard.lo; i < shard.hi; ++i) {
-          if (ptr < ss.touched.size() && ss.touched[ptr] == i) {
-            flat_touched.push_back(i);
-            flat_value.push_back(ss.value[ptr]);
-            ++ptr;
-          } else {
-            flat_touched.push_back(i);
-            flat_value.push_back(ss.residual);
-          }
-        }
-      }
-    }
-  } else if (backend_ == HypothesisBackend::kSparse) {
-    flat_residual = 1.0 / size_;
-  }
-
-  shards_ = PartitionDomain(size(), shards);
-  // FNV-1a over the partition: shard-set identity for plan caches.
-  uint64_t hash = 1469598103934665603ull;
-  const auto mix = [&hash](uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ull;
-  };
-  mix(static_cast<uint64_t>(shards_.size()));
-  for (const HypothesisShard& shard : shards_) {
-    mix(static_cast<uint64_t>(shard.lo));
-    mix(static_cast<uint64_t>(shard.hi));
-  }
-  fingerprint_ = hash;
-
-  if (backend_ == HypothesisBackend::kSparse) {
-    RebuildSparseShards(flat_touched, flat_value, flat_residual);
-  }
-  return num_shards();
-}
-
-void ShardedHypothesis::RebuildSparseShards(const std::vector<int>& touched,
-                                            const std::vector<double>& value,
-                                            double residual) {
-  sparse_.assign(shards_.size(), SparseShardState{});
-  size_t ptr = 0;
-  for (int s = 0; s < num_shards(); ++s) {
+Status DenseSlice::Reweigh(const std::vector<double>& payoff, double eta,
+                           std::vector<double>* local_max) {
+  PMW_CHECK_EQ(payoff.size(), p_.size());
+  local_max->assign(shards_.size(), 0.0);
+  // Log-weights and the shard-local max. Split into a scalar log pass
+  // (libm stays per-element) and a vectorizable axpy+max pass: per
+  // element the same two IEEE ops in the same order as a fused loop
+  // (t = SafeLog(p); t + eta * payoff), so the split changes no bits;
+  // the kernel's max-fold reorder is downstream-exact (common/simd.h).
+  ForEachShard(runner_, shards_, [&](int s) {
     const HypothesisShard& shard = shards_[static_cast<size_t>(s)];
-    SparseShardState& ss = sparse_[static_cast<size_t>(s)];
-    ss.residual = residual;
-    while (ptr < touched.size() && touched[ptr] < shard.hi) {
-      ss.touched.push_back(touched[ptr]);
-      ss.value.push_back(value[ptr]);
-      ++ptr;
+    const size_t lo = static_cast<size_t>(shard.lo - base_);
+    const size_t n = static_cast<size_t>(shard.size());
+    for (size_t i = lo; i < lo + n; ++i) {
+      scratch_[i] = SafeLog(p_[i]);
     }
-    if (ss.touched_count() == shard.size()) ss.residual = 0.0;
+    double shard_max = -std::numeric_limits<double>::infinity();
+    simd::AxpyMax(scratch_.data() + lo, payoff.data() + lo, eta, n,
+                  &shard_max);
+    (*local_max)[static_cast<size_t>(s)] = shard_max;
+  });
+  return Status::Ok();
+}
+
+Status DenseSlice::PartialSums(double global_max,
+                               std::vector<double>* local_sum) {
+  local_sum->assign(shards_.size(), 0.0);
+  // Stabilized weights and the shard's subtree sum. The subtract
+  // vectorizes (elementwise, exact); std::exp stays scalar per element;
+  // PairwiseSum's 4/8-leaf nodes vectorize inside the fixed tree
+  // (common/simd.h), so the association — and the transcript — is
+  // unchanged.
+  ForEachShard(runner_, shards_, [&](int s) {
+    const HypothesisShard& shard = shards_[static_cast<size_t>(s)];
+    const size_t lo = static_cast<size_t>(shard.lo - base_);
+    const size_t n = static_cast<size_t>(shard.size());
+    simd::SubScalar(scratch_.data() + lo, global_max, n);
+    for (size_t i = lo; i < lo + n; ++i) {
+      scratch_[i] = std::exp(scratch_[i]);
+    }
+    (*local_sum)[static_cast<size_t>(s)] =
+        PairwiseSum(scratch_.data(), lo, lo + n);
+  });
+  return Status::Ok();
+}
+
+Status DenseSlice::Normalize(double total) {
+  ForEachShard(runner_, shards_, [this, total](int s) {
+    const HypothesisShard& shard = shards_[static_cast<size_t>(s)];
+    const size_t lo = static_cast<size_t>(shard.lo - base_);
+    simd::DivScalarTo(p_.data() + lo, scratch_.data() + lo, total,
+                      static_cast<size_t>(shard.size()));
+  });
+  return Status::Ok();
+}
+
+Result<data::HistogramSupport> DenseSlice::Snapshot(int lo, int hi) {
+  PMW_CHECK(base_ <= lo && lo <= hi && hi <= end_);
+  const size_t begin = static_cast<size_t>(lo - base_);
+  const size_t end = static_cast<size_t>(hi - base_);
+  size_t support_size = 0;
+  for (size_t i = begin; i < end; ++i) {
+    if (p_[i] > 0.0) ++support_size;
   }
-}
-
-void ShardedHypothesis::SetDelegate(HypothesisDelegate* delegate) {
-  PMW_CHECK_MSG(update_count_ == 0,
-                "the delegate must be installed before the first update");
-  PMW_CHECK_MSG(backend_ == HypothesisBackend::kDense,
-                "delegated execution requires the dense backend "
-                "(cluster v1 ships probability slices)");
-  delegate_ = delegate;
-  if (delegate_ != nullptr) {
-    // State now lives with the delegate (worker slices); keeping the
-    // local arrays would be a second, silently-diverging copy.
-    p_.clear();
-    p_.shrink_to_fit();
-    scratch_.clear();
-    scratch_.shrink_to_fit();
-  } else {
-    p_.assign(static_cast<size_t>(size_), 1.0 / size_);
-    scratch_.assign(static_cast<size_t>(size_), 0.0);
-  }
-}
-
-int ShardedHypothesis::ShardOf(int i) const {
-  // Shards are in domain order; find the first with hi > i.
-  const auto it = std::upper_bound(
-      shards_.begin(), shards_.end(), i,
-      [](int lhs, const HypothesisShard& rhs) { return lhs < rhs.hi; });
-  return static_cast<int>(it - shards_.begin());
-}
-
-double ShardedHypothesis::operator[](int i) const {
-  if (delegate_ != nullptr) {
-    Result<data::HistogramSupport> slice = delegate_->Snapshot(i, i + 1);
-    PMW_CHECK_MSG(slice.ok(), "delegate snapshot failed: "
-                                  << slice.status().ToString());
-    return slice.value().empty() ? 0.0 : slice.value().front().second;
-  }
-  if (backend_ == HypothesisBackend::kDense) {
-    return p_[static_cast<size_t>(i)];
-  }
-  const SparseShardState& ss = sparse_[static_cast<size_t>(ShardOf(i))];
-  const auto it = std::lower_bound(ss.touched.begin(), ss.touched.end(), i);
-  if (it != ss.touched.end() && *it == i) {
-    return ss.value[static_cast<size_t>(it - ss.touched.begin())];
-  }
-  return ss.residual;
-}
-
-const std::vector<double>& ShardedHypothesis::probabilities() const {
-  PMW_CHECK_MSG(backend_ == HypothesisBackend::kDense &&
-                    delegate_ == nullptr,
-                "probabilities() is local-dense-only; use operator[], "
-                "CompactSupport, or ToHistogram");
-  return p_;
-}
-
-long long ShardedHypothesis::materialized_entries() const {
-  // Delegated state is materialized in the workers, not here.
-  if (delegate_ != nullptr) return 0;
-  if (backend_ == HypothesisBackend::kDense) return size_;
-  long long total = 0;
-  for (const SparseShardState& ss : sparse_) total += ss.touched_count();
-  return total;
-}
-
-void ShardedHypothesis::RunShards(const std::function<void(int)>& fn) const {
-  if (runner_ != nullptr && num_shards() > 1) {
-    runner_(num_shards(), fn);
-    return;
-  }
-  for (int s = 0; s < num_shards(); ++s) fn(s);
-}
-
-data::HistogramSupport ShardedHypothesis::CompactSupport() const {
-  return CompactSupport(0, size());
-}
-
-data::HistogramSupport ShardedHypothesis::CompactSupport(int lo,
-                                                         int hi) const {
-  PMW_CHECK_GE(lo, 0);
-  PMW_CHECK_LE(lo, hi);
-  PMW_CHECK_LE(hi, size());
   data::HistogramSupport support;
-  if (delegate_ != nullptr) {
-    Result<data::HistogramSupport> slice = delegate_->Snapshot(lo, hi);
-    PMW_CHECK_MSG(slice.ok(), "delegate snapshot failed: "
-                                  << slice.status().ToString());
-    return std::move(slice).value();
-  }
-  if (backend_ == HypothesisBackend::kDense) {
-    size_t support_size = 0;
-    for (int i = lo; i < hi; ++i) {
-      if (p_[static_cast<size_t>(i)] > 0.0) ++support_size;
-    }
-    support.reserve(support_size);
-    for (int i = lo; i < hi; ++i) {
-      if (p_[static_cast<size_t>(i)] > 0.0) {
-        support.emplace_back(i, p_[static_cast<size_t>(i)]);
-      }
-    }
-    return support;
-  }
-  // Sparse: merge-walk each overlapping shard, emitting touched values
-  // and residual-filled gaps in index order — the same (index, value)
-  // sequence the dense walk produces.
-  support.reserve(static_cast<size_t>(hi - lo));
-  for (int s = (lo < hi) ? ShardOf(lo) : num_shards(); s < num_shards();
-       ++s) {
-    const HypothesisShard& shard = shards_[static_cast<size_t>(s)];
-    if (shard.lo >= hi) break;
-    const SparseShardState& ss = sparse_[static_cast<size_t>(s)];
-    const int begin = std::max(lo, shard.lo);
-    const int end = std::min(hi, shard.hi);
-    size_t ptr = static_cast<size_t>(
-        std::lower_bound(ss.touched.begin(), ss.touched.end(), begin) -
-        ss.touched.begin());
-    for (int i = begin; i < end; ++i) {
-      double v;
-      if (ptr < ss.touched.size() && ss.touched[ptr] == i) {
-        v = ss.value[ptr];
-        ++ptr;
-      } else {
-        v = ss.residual;
-      }
-      if (v > 0.0) support.emplace_back(i, v);
+  support.reserve(support_size);
+  for (size_t i = begin; i < end; ++i) {
+    if (p_[i] > 0.0) {
+      support.emplace_back(base_ + static_cast<int>(i), p_[i]);
     }
   }
   return support;
 }
 
-data::Histogram ShardedHypothesis::ToHistogram() const {
-  if (delegate_ != nullptr) {
-    std::vector<double> dense(static_cast<size_t>(size_), 0.0);
-    for (const auto& entry : CompactSupport()) {
-      dense[static_cast<size_t>(entry.first)] = entry.second;
+void DenseSlice::Restore(const data::HistogramSupport& entries) {
+  std::fill(p_.begin(), p_.end(), 0.0);
+  for (const auto& [index, value] : entries) {
+    PMW_CHECK(base_ <= index && index < end_);
+    p_[static_cast<size_t>(index - base_)] = value;
+  }
+}
+
+// --- Sparse storage ----------------------------------------------------
+
+class ShardedHypothesis::SparseShards : public HypothesisDelegate {
+ public:
+  SparseShards(int size, std::vector<HypothesisShard> shards,
+               ShardRunner runner, const SparseHypothesisOptions& options)
+      : shards_(std::move(shards)),
+        runner_(std::move(runner)),
+        options_(options),
+        state_(shards_.size()) {
+    PMW_CHECK_GE(options_.payoff_threshold, 0.0);
+    if (options_.sampled_normalizer) {
+      PMW_CHECK_GE(options_.normalizer_samples, 1);
     }
-    return data::Histogram::FromWeights(dense);
+    // The pristine hypothesis is uniform: every entry on the residual.
+    for (State& ss : state_) ss.residual = 1.0 / size;
   }
-  if (backend_ == HypothesisBackend::kDense) {
-    return data::Histogram::FromWeights(p_);
+
+  Status Reweigh(const std::vector<double>& payoff, double eta,
+                 std::vector<double>* local_max) override;
+  Status PartialSums(double global_max,
+                     std::vector<double>* local_sum) override;
+  Status Normalize(double total) override;
+  Result<data::HistogramSupport> Snapshot(int lo, int hi) override;
+
+  long long materialized_entries() const {
+    long long total = 0;
+    for (const State& ss : state_) total += ss.touched.size();
+    return total;
   }
-  std::vector<double> dense(static_cast<size_t>(size_), 0.0);
-  for (int s = 0; s < num_shards(); ++s) {
+
+ private:
+  /// One shard's storage plus the per-update scratch the three phases
+  /// hand each other (owned per shard, so phases running on different
+  /// threads stay disjoint).
+  struct State {
+    /// Sorted absolute indices whose probability diverged from the
+    /// residual, and their probabilities (parallel arrays).
+    std::vector<int> touched;
+    std::vector<double> value;
+    /// The shared probability of every untouched index in the shard
+    /// (0.0 when the shard is fully materialized).
+    double residual = 0.0;
+
+    // --- per-update scratch ---
+    std::vector<int> next_touched;
+    std::vector<double> logw;
+    std::vector<double> weight;
+    double untouched_logw = 0.0;
+    double untouched_weight = 0.0;
+    int untouched_count = 0;
+  };
+
+  /// The shard index owning domain element i.
+  int ShardOf(int i) const {
+    // Shards are in domain order; find the first with hi > i.
+    const auto it = std::upper_bound(
+        shards_.begin(), shards_.end(), i,
+        [](int lhs, const HypothesisShard& rhs) { return lhs < rhs.hi; });
+    return static_cast<int>(it - shards_.begin());
+  }
+
+  std::vector<HypothesisShard> shards_;
+  ShardRunner runner_;
+  SparseHypothesisOptions options_;
+  std::vector<State> state_;
+  /// Updates applied so far: indexes the sampled-normalizer schedule.
+  uint64_t updates_ = 0;
+};
+
+Status ShardedHypothesis::SparseShards::Reweigh(
+    const std::vector<double>& payoff, double eta,
+    std::vector<double>* local_max) {
+  local_max->assign(shards_.size(), 0.0);
+  const double threshold = options_.payoff_threshold;
+  // The new touched set and its log-weights, plus the shard-local max.
+  // An entry joins the touched set when it was already touched (its
+  // probability diverged from the residual — the normalizer will move it
+  // again) or its payoff exceeds the threshold; every other entry shares
+  // the single untouched log-weight SafeLog(residual) + eta * 0.0, which
+  // equals the dense phase-1 value bit-for-bit (x + eta * 0.0 == x in
+  // IEEE for the x SafeLog returns).
+  ForEachShard(runner_, shards_, [&](int s) {
     const HypothesisShard& shard = shards_[static_cast<size_t>(s)];
-    const SparseShardState& ss = sparse_[static_cast<size_t>(s)];
-    for (int i = shard.lo; i < shard.hi; ++i) {
-      dense[static_cast<size_t>(i)] = ss.residual;
-    }
-    for (size_t j = 0; j < ss.touched.size(); ++j) {
-      dense[static_cast<size_t>(ss.touched[j])] = ss.value[j];
-    }
-  }
-  return data::Histogram::FromWeights(dense);
-}
-
-double ShardedHypothesis::CombineShardSums(int lo, int hi) const {
-  if (hi - lo == 1) return shards_[static_cast<size_t>(lo)].local_sum;
-  const int mid = lo + (hi - lo) / 2;
-  return CombineShardSums(lo, mid) + CombineShardSums(mid, hi);
-}
-
-Status ShardedHypothesis::MultiplicativeUpdate(
-    const std::vector<double>& payoff, double eta) {
-  PMW_CHECK_EQ(payoff.size(), static_cast<size_t>(size_));
-  if (delegate_ != nullptr) {
-    const Status status = DelegateMultiplicativeUpdate(payoff, eta);
-    if (!status.ok()) return status;
-  } else if (backend_ == HypothesisBackend::kDense) {
-    DenseMultiplicativeUpdate(payoff, eta);
-  } else {
-    SparseMultiplicativeUpdate(payoff, eta);
-  }
-  ++update_count_;
-  return Status::Ok();
-}
-
-Status ShardedHypothesis::DelegateMultiplicativeUpdate(
-    const std::vector<double>& payoff, double eta) {
-  // Same three phases as DenseMultiplicativeUpdate, with the per-shard
-  // bodies executed by the delegate and BOTH combines kept here, in the
-  // same fixed order — that is what carries bit-identity across
-  // processes.
-  std::vector<double> local_max;
-  Status status = delegate_->Reweigh(payoff, eta, &local_max);
-  if (!status.ok()) return status;
-  PMW_CHECK_EQ(local_max.size(), shards_.size());
-  double global_max = -std::numeric_limits<double>::infinity();
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].local_max = local_max[s];
-    global_max = std::max(global_max, local_max[s]);
-  }
-
-  std::vector<double> local_sum;
-  status = delegate_->PartialSums(global_max, &local_sum);
-  if (!status.ok()) return status;
-  PMW_CHECK_EQ(local_sum.size(), shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].local_sum = local_sum[s];
-  }
-  const double total = CombineShardSums(0, num_shards());
-  PMW_CHECK_GT(total, 0.0);
-
-  return delegate_->Normalize(total);
-}
-
-void ShardedHypothesis::DenseMultiplicativeUpdate(
-    const std::vector<double>& payoff, double eta) {
-  // Phase 1 (per shard): log-weights and the shard-local max. Split into
-  // a scalar log pass (libm stays per-element) and a vectorizable
-  // axpy+max pass: per element the same two IEEE ops in the same order
-  // as the fused loop (t = SafeLog(p); t + eta * payoff), so the split
-  // changes no bits; the kernel's max-fold reorder is downstream-exact
-  // (common/simd.h).
-  RunShards([this, &payoff, eta](int s) {
-    HypothesisShard& shard = shards_[static_cast<size_t>(s)];
-    const size_t lo = static_cast<size_t>(shard.lo);
-    const size_t n = static_cast<size_t>(shard.hi - shard.lo);
-    for (size_t i = lo; i < lo + n; ++i) {
-      scratch_[i] = SafeLog(p_[i]);
-    }
-    double local_max = -std::numeric_limits<double>::infinity();
-    simd::AxpyMax(scratch_.data() + lo, payoff.data() + lo, eta, n,
-                  &local_max);
-    shard.local_max = local_max;
-  });
-  // Max fold: associative, so the grouping by shards is exact.
-  double global_max = -std::numeric_limits<double>::infinity();
-  for (const HypothesisShard& shard : shards_) {
-    global_max = std::max(global_max, shard.local_max);
-  }
-
-  // Phase 2 (per shard): stabilized weights and the shard's subtree sum.
-  // The stabilizing subtract vectorizes (elementwise, exact); std::exp
-  // stays scalar per element; PairwiseSum's 4/8-leaf nodes vectorize
-  // inside the fixed tree (common/simd.h), so the association — and the
-  // transcript — is unchanged.
-  RunShards([this, global_max](int s) {
-    HypothesisShard& shard = shards_[static_cast<size_t>(s)];
-    const size_t lo = static_cast<size_t>(shard.lo);
-    const size_t n = static_cast<size_t>(shard.hi - shard.lo);
-    simd::SubScalar(scratch_.data() + lo, global_max, n);
-    for (size_t i = lo; i < lo + n; ++i) {
-      scratch_[i] = std::exp(scratch_[i]);
-    }
-    shard.local_sum = PairwiseSum(scratch_.data(), lo, lo + n);
-  });
-  // Normalizer combine: O(K), evaluates the top of the fixed tree.
-  const double total = CombineShardSums(0, num_shards());
-  PMW_CHECK_GT(total, 0.0);
-
-  // Phase 3 (per shard): normalize in place (elementwise divide, exact).
-  RunShards([this, total](int s) {
-    const HypothesisShard& shard = shards_[static_cast<size_t>(s)];
-    const size_t lo = static_cast<size_t>(shard.lo);
-    const size_t n = static_cast<size_t>(shard.hi - shard.lo);
-    simd::DivScalarTo(p_.data() + lo, scratch_.data() + lo, total, n);
-  });
-}
-
-void ShardedHypothesis::SparseMultiplicativeUpdate(
-    const std::vector<double>& payoff, double eta) {
-  const double threshold = sparse_options_.payoff_threshold;
-
-  // Phase 1 (per shard): the new touched set and its log-weights, plus
-  // the shard-local max. An entry joins the touched set when it was
-  // already touched (its probability diverged from the residual — the
-  // normalizer will move it again) or its payoff exceeds the threshold;
-  // every other entry shares the single untouched log-weight
-  // SafeLog(residual) + eta * 0.0, which equals the dense phase-1 value
-  // bit-for-bit (x + eta * 0.0 == x in IEEE for the x SafeLog returns).
-  RunShards([this, &payoff, eta, threshold](int s) {
-    HypothesisShard& shard = shards_[static_cast<size_t>(s)];
-    SparseShardState& ss = sparse_[static_cast<size_t>(s)];
+    State& ss = state_[static_cast<size_t>(s)];
     ss.next_touched.clear();
     ss.logw.clear();
-    double local_max = -std::numeric_limits<double>::infinity();
+    double shard_max = -std::numeric_limits<double>::infinity();
     size_t ptr = 0;
     int untouched = 0;
     for (int i = shard.lo; i < shard.hi; ++i) {
@@ -497,23 +295,25 @@ void ShardedHypothesis::SparseMultiplicativeUpdate(
       const double lw = SafeLog(base) + eta * pay;
       ss.next_touched.push_back(i);
       ss.logw.push_back(lw);
-      local_max = std::max(local_max, lw);
+      shard_max = std::max(shard_max, lw);
     }
     ss.untouched_count = untouched;
     ss.untouched_logw = SafeLog(ss.residual) + eta * 0.0;
-    if (untouched > 0) local_max = std::max(local_max, ss.untouched_logw);
-    shard.local_max = local_max;
+    if (untouched > 0) shard_max = std::max(shard_max, ss.untouched_logw);
+    (*local_max)[static_cast<size_t>(s)] = shard_max;
   });
-  double global_max = -std::numeric_limits<double>::infinity();
-  for (const HypothesisShard& shard : shards_) {
-    global_max = std::max(global_max, shard.local_max);
-  }
+  return Status::Ok();
+}
 
-  // Phase 2 (per shard): stabilized weights and the shard's subtree sum
-  // — exact fixed-tree fold, or the sampled estimator in approx mode.
-  RunShards([this, global_max](int s) {
-    HypothesisShard& shard = shards_[static_cast<size_t>(s)];
-    SparseShardState& ss = sparse_[static_cast<size_t>(s)];
+Status ShardedHypothesis::SparseShards::PartialSums(
+    double global_max, std::vector<double>* local_sum) {
+  local_sum->assign(shards_.size(), 0.0);
+  // Stabilized weights and the shard's subtree sum — exact fixed-tree
+  // fold, or the sampled estimator in approx mode.
+  ForEachShard(runner_, shards_, [&](int s) {
+    const HypothesisShard& shard = shards_[static_cast<size_t>(s)];
+    State& ss = state_[static_cast<size_t>(s)];
+    double& shard_sum = (*local_sum)[static_cast<size_t>(s)];
     // Same split as the dense phase 2: vector subtract (elementwise,
     // exact), scalar exp per element.
     ss.weight = ss.logw;
@@ -523,13 +323,13 @@ void ShardedHypothesis::SparseMultiplicativeUpdate(
     }
     ss.untouched_weight = std::exp(ss.untouched_logw - global_max);
 
-    if (sparse_options_.sampled_normalizer) {
+    if (options_.sampled_normalizer) {
       // Z_hat = (n / m) * sum of m uniform draws' weights. Deterministic:
       // the generator is a pure function of (seed, update, shard).
       const int n = shard.size();
-      const int m = std::min(sparse_options_.normalizer_samples, n);
-      std::mt19937_64 gen(SampleSeed(sparse_options_.seed, update_count_,
-                                     static_cast<uint64_t>(s)));
+      const int m = std::min(options_.normalizer_samples, n);
+      std::mt19937_64 gen(
+          SampleSeed(options_.seed, updates_, static_cast<uint64_t>(s)));
       std::vector<double> samples(static_cast<size_t>(m));
       for (int j = 0; j < m; ++j) {
         const int idx =
@@ -541,8 +341,8 @@ void ShardedHypothesis::SparseMultiplicativeUpdate(
                 ? ss.weight[static_cast<size_t>(it - ss.next_touched.begin())]
                 : ss.untouched_weight;
       }
-      shard.local_sum = PairwiseSum(samples.data(), 0, samples.size()) *
-                        (static_cast<double>(n) / m);
+      shard_sum = PairwiseSum(samples.data(), 0, samples.size()) *
+                  (static_cast<double>(n) / m);
       return;
     }
 
@@ -570,15 +370,15 @@ void ShardedHypothesis::SparseMultiplicativeUpdate(
           ss.next_touched.begin());
       return tree_sum(lo, mid, t0, tm) + tree_sum(mid, hi, tm, t1);
     };
-    shard.local_sum =
-        tree_sum(shard.lo, shard.hi, 0, ss.next_touched.size());
+    shard_sum = tree_sum(shard.lo, shard.hi, 0, ss.next_touched.size());
   });
-  const double total = CombineShardSums(0, num_shards());
-  PMW_CHECK_GT(total, 0.0);
+  return Status::Ok();
+}
 
-  // Phase 3 (per shard): normalize into the new touched set + residual.
-  RunShards([this, total](int s) {
-    SparseShardState& ss = sparse_[static_cast<size_t>(s)];
+Status ShardedHypothesis::SparseShards::Normalize(double total) {
+  // Normalize into the new touched set + residual.
+  ForEachShard(runner_, shards_, [this, total](int s) {
+    State& ss = state_[static_cast<size_t>(s)];
     ss.touched.swap(ss.next_touched);
     ss.value.resize(ss.weight.size());
     simd::DivScalarTo(ss.value.data(), ss.weight.data(), total,
@@ -586,6 +386,152 @@ void ShardedHypothesis::SparseMultiplicativeUpdate(
     ss.residual =
         ss.untouched_count > 0 ? ss.untouched_weight / total : 0.0;
   });
+  ++updates_;
+  return Status::Ok();
+}
+
+Result<data::HistogramSupport> ShardedHypothesis::SparseShards::Snapshot(
+    int lo, int hi) {
+  // Merge-walk each overlapping shard, emitting touched values and
+  // residual-filled gaps in index order — the same (index, value)
+  // sequence the dense walk produces.
+  data::HistogramSupport support;
+  support.reserve(static_cast<size_t>(hi - lo));
+  const int num_shards = static_cast<int>(shards_.size());
+  for (int s = (lo < hi) ? ShardOf(lo) : num_shards; s < num_shards; ++s) {
+    const HypothesisShard& shard = shards_[static_cast<size_t>(s)];
+    if (shard.lo >= hi) break;
+    const State& ss = state_[static_cast<size_t>(s)];
+    const int begin = std::max(lo, shard.lo);
+    const int end = std::min(hi, shard.hi);
+    size_t ptr = static_cast<size_t>(
+        std::lower_bound(ss.touched.begin(), ss.touched.end(), begin) -
+        ss.touched.begin());
+    for (int i = begin; i < end; ++i) {
+      double v;
+      if (ptr < ss.touched.size() && ss.touched[ptr] == i) {
+        v = ss.value[ptr];
+        ++ptr;
+      } else {
+        v = ss.residual;
+      }
+      if (v > 0.0) support.emplace_back(i, v);
+    }
+  }
+  return support;
+}
+
+// --- ShardedHypothesis -------------------------------------------------
+
+ShardedHypothesis::ShardedHypothesis(int size, int shards, ShardRunner runner,
+                                     HypothesisBackend backend,
+                                     const SparseHypothesisOptions& sparse,
+                                     HypothesisDelegate* delegate)
+    : size_(size),
+      backend_(backend),
+      shards_(PartitionDomain(size, shards)),
+      runner_(std::move(runner)) {
+  // FNV-1a over the partition: shard-set identity for plan caches.
+  uint64_t hash = 1469598103934665603ull;
+  const auto mix = [&hash](uint64_t value) {
+    hash ^= value;
+    hash *= 1099511628211ull;
+  };
+  mix(static_cast<uint64_t>(shards_.size()));
+  for (const HypothesisShard& shard : shards_) {
+    mix(static_cast<uint64_t>(shard.lo));
+    mix(static_cast<uint64_t>(shard.hi));
+  }
+  fingerprint_ = hash;
+
+  if (delegate != nullptr) {
+    PMW_CHECK_MSG(backend == HypothesisBackend::kDense,
+                  "delegated execution requires the dense backend "
+                  "(the cluster ships probability slices)");
+    storage_ = delegate;
+    return;
+  }
+  if (backend == HypothesisBackend::kDense) {
+    local_ = std::make_unique<DenseSlice>(size, shards_, runner_);
+  } else {
+    auto sparse_shards =
+        std::make_unique<SparseShards>(size, shards_, runner_, sparse);
+    sparse_ = sparse_shards.get();
+    local_ = std::move(sparse_shards);
+  }
+  storage_ = local_.get();
+}
+
+double ShardedHypothesis::operator[](int i) const {
+  const data::HistogramSupport entry = CompactSupport(i, i + 1);
+  return entry.empty() ? 0.0 : entry.front().second;
+}
+
+long long ShardedHypothesis::materialized_entries() const {
+  if (sparse_ != nullptr) return sparse_->materialized_entries();
+  return local_ != nullptr ? size_ : 0;
+}
+
+void ShardedHypothesis::RunShards(const std::function<void(int)>& fn) const {
+  ForEachShard(runner_, shards_, fn);
+}
+
+data::HistogramSupport ShardedHypothesis::CompactSupport() const {
+  return CompactSupport(0, size());
+}
+
+data::HistogramSupport ShardedHypothesis::CompactSupport(int lo,
+                                                         int hi) const {
+  PMW_CHECK_GE(lo, 0);
+  PMW_CHECK_LE(lo, hi);
+  PMW_CHECK_LE(hi, size());
+  Result<data::HistogramSupport> support = storage_->Snapshot(lo, hi);
+  PMW_CHECK_MSG(support.ok(), "hypothesis snapshot failed: "
+                                  << support.status().ToString());
+  return std::move(support).value();
+}
+
+data::Histogram ShardedHypothesis::ToHistogram() const {
+  std::vector<double> dense(static_cast<size_t>(size_), 0.0);
+  for (const auto& [index, mass] : CompactSupport()) {
+    dense[static_cast<size_t>(index)] = mass;
+  }
+  return data::Histogram::FromWeights(std::move(dense));
+}
+
+double ShardedHypothesis::CombineShardSums(int lo, int hi) const {
+  if (hi - lo == 1) return shards_[static_cast<size_t>(lo)].local_sum;
+  const int mid = lo + (hi - lo) / 2;
+  return CombineShardSums(lo, mid) + CombineShardSums(mid, hi);
+}
+
+Status ShardedHypothesis::MultiplicativeUpdate(
+    const std::vector<double>& payoff, double eta) {
+  PMW_CHECK_EQ(payoff.size(), static_cast<size_t>(size_));
+  // Phase 1, then the max fold: associative, so the grouping by shards
+  // is exact.
+  std::vector<double> local_max;
+  Status status = storage_->Reweigh(payoff, eta, &local_max);
+  if (!status.ok()) return status;
+  PMW_CHECK_EQ(local_max.size(), shards_.size());
+  double global_max = -std::numeric_limits<double>::infinity();
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s].local_max = local_max[s];
+    global_max = std::max(global_max, local_max[s]);
+  }
+
+  // Phase 2, then the normalizer combine: O(K), evaluates the top of the
+  // fixed tree.
+  std::vector<double> local_sum;
+  status = storage_->PartialSums(global_max, &local_sum);
+  if (!status.ok()) return status;
+  PMW_CHECK_EQ(local_sum.size(), shards_.size());
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s].local_sum = local_sum[s];
+  }
+  const double total = CombineShardSums(0, num_shards());
+  PMW_CHECK_GT(total, 0.0);
+  return storage_->Normalize(total);
 }
 
 }  // namespace core

@@ -5,7 +5,26 @@
 // shards so the MW-update hot path (reweigh every x, renormalize)
 // decomposes into K independent per-shard passes plus O(K)-sized
 // combines — the distribution unit of the sharded serving engine
-// (serve/shard_router.h).
+// (serve/shard_router.h) and of the multi-host fabric (src/cluster).
+//
+// Configured once. Size, shard count, runner, storage backend, sparse
+// options and delegate are constructor arguments and never change;
+// PmwCm::ConfigureSharding builds a fresh hypothesis from them before the
+// first query.
+//
+// One update path. MultiplicativeUpdate is the only code that runs the
+// update's two cross-shard folds. It drives one storage through the
+// HypothesisDelegate seam in a fixed sequence: phase 1 (reweigh; one
+// local max per shard), the max fold, phase 2 (stabilized weights; one
+// partial sum per shard), the fixed-tree normalizer fold, phase 3
+// (normalize). Three storages implement the seam:
+//
+//   * DenseSlice (kDense): one double per element, per-shard phases
+//     through the runner. It is the only dense MW arithmetic in the repo:
+//     cluster::SliceHost runs a DenseSlice over its shard group too.
+//   * The sparse shards (kSparse, below).
+//   * An installed delegate — cluster::Combiner, whose shard-group
+//     workers each run a DenseSlice over their own shards.
 //
 // The non-negotiable invariant is that sharding never changes a single
 // bit of the hypothesis: at any K the update produces exactly the K = 1
@@ -24,41 +43,38 @@
 //     shard is an internal node of the fixed reduction tree, each
 //     shard's partial sum equals that subtree's value exactly, and the
 //     cross-shard combine just evaluates the remaining top of the tree.
-//     K must therefore be a power of two; Repartition clamps.
+//     K must therefore be a power of two; PartitionDomain clamps.
 //
-// Backends. Two storage backends sit behind the same interface:
+// Sparse storage. kSparse materializes per shard only the *touched*
+// support: a sorted (index, probability) set for entries whose weight
+// has ever diverged from the shard's shared *uniform residual*, plus
+// that one residual double for every untouched entry. An update touches
+// an entry only when it was already touched or its payoff is nonzero
+// (more precisely |payoff| > payoff_threshold), so the uniform start
+// state costs O(1) per shard and memory grows with the support the
+// mechanism actually reweighs — the Fast-MWEM observation applied to
+// Figure 3's dual-certificate updates. This is what lets |X| reach 2^20
+// and beyond.
 //
-//   * kDense — one double per universe element (the original layout).
-//   * kSparse — each shard materializes only the *touched* support: a
-//     sorted (index, probability) set for entries whose weight has ever
-//     diverged from the shard's shared *uniform residual*, plus that one
-//     residual double for every untouched entry. An update touches an
-//     entry only when it was already touched or its payoff is nonzero
-//     (more precisely |payoff| > payoff_threshold), so the uniform
-//     start state costs O(1) per shard and memory grows with the
-//     support the mechanism actually reweighs — the Fast-MWEM
-//     observation applied to Figure 3's dual-certificate updates. This
-//     is what lets |X| reach 2^20 and beyond.
+//   Exact mode (the default SparseHypothesisOptions) is bit-identical to
+//   kDense: an untouched entry's log-weight SafeLog(residual) + eta * 0.0
+//   equals SafeLog(residual) exactly, so all untouched entries share one
+//   unnormalized weight, and the shard's normalizer subtree is evaluated
+//   by walking the SAME fixed reduction tree — touched leaves
+//   individually, maximal all-untouched subtrees via a memoized
+//   replicated-sum recurrence S(n) = S(n/2) + S(n - n/2) that reproduces
+//   PairwiseSum over n equal values bit-for-bit — in
+//   O(touched * log n + log^2 n) instead of O(n).
 //
-//     Exact mode (the default SparseHypothesisOptions) is bit-identical
-//     to kDense: an untouched entry's log-weight SafeLog(residual) +
-//     eta * 0.0 equals SafeLog(residual) exactly, so all untouched
-//     entries share one unnormalized weight, and the shard's normalizer
-//     subtree is evaluated by walking the SAME fixed reduction tree —
-//     touched leaves individually, maximal all-untouched subtrees via a
-//     memoized replicated-sum recurrence S(n) = S(n/2) + S(n - n/2)
-//     that reproduces PairwiseSum over n equal values bit-for-bit — in
-//     O(touched * log n + log^2 n) instead of O(n).
-//
-//     Approx mode is opt-in via SparseHypothesisOptions and trades the
-//     bit-identity invariant for sublinear updates: payoff_threshold
-//     keeps near-zero payoffs from materializing entries, and
-//     sampled_normalizer estimates each shard's normalizer from
-//     normalizer_samples uniform draws. Both knobs are deterministic —
-//     the sampler is seeded FNV(seed, update index, shard index), so a
-//     replay with the same options reproduces the same transcript — and
-//     the dense-vs-sparse answer delta is bounded by its own oracle
-//     test (tests/sparse_backend_test.cc), not assumed.
+//   Approx mode is opt-in via SparseHypothesisOptions and trades the
+//   bit-identity invariant for sublinear updates: payoff_threshold keeps
+//   near-zero payoffs from materializing entries, and sampled_normalizer
+//   estimates each shard's normalizer from normalizer_samples uniform
+//   draws. Both knobs are deterministic — the sampler is seeded
+//   FNV(seed, update index, shard index), so a replay with the same
+//   options reproduces the same transcript — and the dense-vs-sparse
+//   answer delta is bounded by its own oracle test
+//   (tests/sharded_hypothesis_test.cc), not assumed.
 //
 // Threading: per-shard phases touch disjoint [lo, hi) slices and may run
 // on any threads (the optional ShardRunner); every combine runs on the
@@ -69,6 +85,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -124,30 +141,28 @@ struct SparseHypothesisOptions {
 /// The fixed power-of-two partition of [0, size): `shards` rounded down
 /// to a power of two and clamped to [1, size], each emitted range a node
 /// of PairwiseSum's reduction tree (split at lo + (hi - lo) / 2). This is
-/// THE partition function — ShardedHypothesis::Repartition calls it, and
-/// the cluster subsystem calls it in worker processes so shard-group
-/// boundaries agree bit-for-bit with the front door's.
+/// THE partition function — ShardedHypothesis calls it, and the cluster
+/// subsystem calls it in worker processes so shard-group boundaries
+/// agree bit-for-bit with the front door's.
 std::vector<HypothesisShard> PartitionDomain(int size, int shards);
 
-/// Remote executor of the MW update's per-shard phases: the seam the
-/// cluster subsystem plugs shard-group worker processes into. When a
-/// delegate is installed the hypothesis state (probabilities + scratch)
-/// lives wherever the delegate keeps it — e.g. sliced across worker
-/// processes — and ShardedHypothesis retains only the partition plus the
-/// per-shard reduction cells, so BOTH combines (the max fold and the
-/// fixed-tree normalizer fold) still run on the single-writer thread in
-/// the same order as in-process. Each phase call covers every shard of
-/// the current partition; outputs are indexed by shard, in shard order.
+/// Executor of the MW update's per-shard phases: the seam between
+/// ShardedHypothesis::MultiplicativeUpdate and wherever the state lives
+/// (a local DenseSlice, the local sparse shards, or the cluster
+/// subsystem's shard-group worker processes). The hypothesis keeps the
+/// partition and the per-shard reduction cells, so BOTH combines (the
+/// max fold and the fixed-tree normalizer fold) run on the single-writer
+/// thread in the same order whatever the storage. Each phase call covers every shard
+/// of the storage; outputs are indexed by shard, in shard order.
 ///
-/// Determinism contract: a delegate must perform exactly the arithmetic
-/// of DenseMultiplicativeUpdate's per-shard bodies (SafeLog + eta *
-/// payoff and local max; exp(x - global_max) and PairwiseSum over the
-/// shard range; divide by total) — IEEE doubles make that reproducible
+/// Determinism contract: a delegate holding dense state must perform
+/// exactly DenseSlice's arithmetic — in practice, run DenseSlice itself,
+/// as cluster::SliceHost does. IEEE doubles make that reproducible
 /// across processes, so transcripts stay bit-identical to sequential.
 ///
 /// Errors are recoverable-by-caller (an unreachable worker after bounded
-/// retries), never silent: a failed phase leaves the update unapplied
-/// and update_count() unchanged.
+/// retries), never silent: a failed phase leaves the update unapplied.
+/// Local storages never fail.
 class HypothesisDelegate {
  public:
   virtual ~HypothesisDelegate() = default;
@@ -163,7 +178,7 @@ class HypothesisDelegate {
   /// Phase 3: normalize in place by `total`.
   virtual Status Normalize(double total) = 0;
   /// The strictly-positive entries of [lo, hi), index order — the same
-  /// sequence CompactSupport emits locally.
+  /// sequence for every storage of the same hypothesis.
   virtual Result<data::HistogramSupport> Snapshot(int lo, int hi) = 0;
 };
 
@@ -176,66 +191,95 @@ class HypothesisDelegate {
 using ShardRunner =
     std::function<void(int num_shards, const std::function<void(int)>& fn)>;
 
+/// The dense per-shard MW arithmetic over a contiguous run of shards of
+/// the global partition, holding one probability per element of
+/// [base(), end()). The front door's kDense storage is a DenseSlice over
+/// all shards; each cluster shard-group worker runs one over its group.
+/// Per element: phase 1 is SafeLog(p) + eta * payoff with a per-shard
+/// max, phase 2 is exp(x - global_max) with a PairwiseSum over the shard
+/// range, phase 3 divides by the total. The AVX2 kernels of common/simd.h
+/// carry the elementwise passes; they produce the scalar loops' bits.
+/// PairwiseSum's tree depends only on range length, so a slice at any
+/// base reproduces the whole-domain subtree values exactly.
+class DenseSlice : public HypothesisDelegate {
+ public:
+  /// The uniform hypothesis D_hat_1 = 1 / domain_size restricted to
+  /// `shards`, a contiguous run of PartitionDomain(domain_size, K) in
+  /// domain order. Per-shard phases go through `runner` (inline when
+  /// null).
+  DenseSlice(int domain_size, std::vector<HypothesisShard> shards,
+             ShardRunner runner = {});
+
+  /// The owned domain range [base, end).
+  int base() const { return base_; }
+  int end() const { return end_; }
+
+  /// `payoff[i - base()]` is element i's payoff. The phases never fail.
+  Status Reweigh(const std::vector<double>& payoff, double eta,
+                 std::vector<double>* local_max) override;
+  Status PartialSums(double global_max,
+                     std::vector<double>* local_sum) override;
+  Status Normalize(double total) override;
+  /// [lo, hi) must lie within [base(), end()).
+  Result<data::HistogramSupport> Snapshot(int lo, int hi) override;
+
+  /// Installs a checkpoint: zero-fills the slice, then writes `entries`
+  /// (indices within [base(), end())). Fed a Snapshot of the whole
+  /// slice, this rebuilds it byte for byte, because the update
+  /// arithmetic produces no non-positive value other than +0.0.
+  void Restore(const data::HistogramSupport& entries);
+
+ private:
+  std::vector<HypothesisShard> shards_;
+  ShardRunner runner_;
+  int base_ = 0;
+  int end_ = 0;
+  /// Probabilities and the reusable update scratch (log-weights, then
+  /// unnormalized weights); element i lives at index i - base_.
+  std::vector<double> p_;
+  std::vector<double> scratch_;
+};
+
 class ShardedHypothesis {
  public:
-  /// The uniform hypothesis over `size` elements (the paper's D_hat_1),
-  /// as a single dense shard.
-  explicit ShardedHypothesis(int size);
+  /// The uniform hypothesis over `size` elements (the paper's D_hat_1)
+  /// in `shards` domain shards — rounded down to a power of two and
+  /// clamped to [1, size] (values < 1 included: 0 means "unsharded"), so
+  /// every shard is a non-empty node of the fixed reduction tree.
+  /// Per-shard phases and RunShards go through `runner` (inline when
+  /// null). Without a delegate, `backend` selects the local storage and
+  /// `sparse` configures kSparse (kDense ignores it). With a `delegate`
+  /// the state lives wherever the delegate keeps it — e.g. sliced across
+  /// worker processes — and `backend` must be kDense: the cluster ships
+  /// probability slices, not sparse residual sets. `delegate` must
+  /// outlive the hypothesis.
+  explicit ShardedHypothesis(
+      int size, int shards = 1, ShardRunner runner = {},
+      HypothesisBackend backend = HypothesisBackend::kDense,
+      const SparseHypothesisOptions& sparse = {},
+      HypothesisDelegate* delegate = nullptr);
 
-  /// Selects the storage backend. Must be called before the first
-  /// MultiplicativeUpdate (the conversion is only defined for the
-  /// pristine uniform hypothesis); the partition is preserved. kDense
-  /// ignores `options`.
-  void SetBackend(HypothesisBackend backend,
-                  const SparseHypothesisOptions& options = {});
   HypothesisBackend backend() const { return backend_; }
-  const SparseHypothesisOptions& sparse_options() const {
-    return sparse_options_;
-  }
-
-  /// Repartitions into `shards` domain shards — rounded down to a power
-  /// of two and clamped to [1, size] (values < 1 included: 0 means
-  /// "unsharded") so every shard is a node of the fixed reduction tree
-  /// and non-empty. Content is untouched (the partition is serving
-  /// topology, not state). Returns the actual count.
-  int Repartition(int shards);
-
-  /// Installs the per-shard executor for MultiplicativeUpdate's parallel
-  /// phases (null restores the inline loop).
-  void set_runner(ShardRunner runner) { runner_ = std::move(runner); }
-
-  /// Installs a remote phase executor (see HypothesisDelegate). Must be
-  /// called on the pristine hypothesis (before the first update), after
-  /// the final Repartition, and only under the dense backend — the
-  /// cluster v1 ships probability slices, not sparse residual sets. The
-  /// local dense arrays are released: state now lives with the delegate.
-  /// Null restores local storage (uniform; same pristine-only gate).
-  void SetDelegate(HypothesisDelegate* delegate);
-  HypothesisDelegate* delegate() const { return delegate_; }
-
   int size() const { return size_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const HypothesisShard& shard(int s) const { return shards_[s]; }
   const std::vector<HypothesisShard>& shards() const { return shards_; }
-  /// Probability of element i under either backend (sparse: binary
-  /// search of the touched set, else the shard residual).
+  /// Probability of element i (0.0 when it has left the support).
   double operator[](int i) const;
-  /// Dense backend only (the sparse backend has no dense array to
-  /// expose; use operator[], CompactSupport, or ToHistogram).
-  const std::vector<double>& probabilities() const;
 
-  /// Stable identity of the current partition (count + boundaries):
-  /// what (epoch, shard-set)-aware plan caches key on.
+  /// Stable identity of the partition (count + boundaries), not of the
+  /// content: what (epoch, shard-set)-aware plan caches key on.
   uint64_t fingerprint() const { return fingerprint_; }
 
-  /// Entries materialized by the sparse backend (== size() under
-  /// kDense): the memory-footprint observable benches report.
+  /// Entries held in this process: size() under local kDense, the
+  /// touched support under kSparse, 0 with a delegate (its state is
+  /// materialized elsewhere). The memory-footprint observable benches
+  /// report.
   long long materialized_entries() const;
 
   /// The strictly-positive entries, full or per shard range — same
-  /// semantics as data::Histogram::CompactSupport. Identical output
-  /// under both backends (sparse inserts the residual for untouched
-  /// indices), so epoch slice views are backend-agnostic.
+  /// semantics as data::Histogram::CompactSupport, identical output for
+  /// every storage, so epoch slice views are storage-agnostic.
   data::HistogramSupport CompactSupport() const;
   data::HistogramSupport CompactSupport(int lo, int hi) const;
 
@@ -244,80 +288,42 @@ class ShardedHypothesis {
 
   /// The multiplicative weights update of Figure 3, sharded:
   ///   p'(x) proportional to exp(eta * payoff(x)) * p(x)
-  /// computed in log-space. Phases 1-3 run per shard (via the runner, or
-  /// the installed delegate); the max fold and the normalizer combine
-  /// run here in fixed order. Bit-identical at every shard count and —
-  /// in exact mode — at either backend (see file comment). Always Ok
-  /// with local storage; with a delegate a failed phase (worker
-  /// unreachable after the delegate's own recovery) surfaces here with
-  /// the update unapplied and update_count() unchanged.
+  /// computed in log-space through the storage's three phases, with the
+  /// max fold and the normalizer combine run here in fixed order.
+  /// Bit-identical at every shard count and — in exact mode — at either
+  /// backend (see file comment). Always Ok with local storage; with a
+  /// delegate a failed phase (worker unreachable after the delegate's own
+  /// recovery) surfaces here with the update unapplied.
   Status MultiplicativeUpdate(const std::vector<double>& payoff, double eta);
 
-  /// Runs fn(s) over every shard through the installed runner (inline in
-  /// shard order without one). Also the entry point for callers with
-  /// their own per-shard work over this partition — PmwCm's
-  /// dual-certificate payoff loop — so the dispatch logic lives once.
+  /// Runs fn(s) over every shard through the runner (inline in shard
+  /// order without one): the entry point for callers with their own
+  /// per-shard work over this partition — PmwCm's dual-certificate payoff
+  /// loop.
   void RunShards(const std::function<void(int)>& fn) const;
 
  private:
-  /// Sparse per-shard storage plus the per-update scratch the three MW
-  /// phases hand each other (owned per shard, so phases running on
-  /// different threads stay disjoint).
-  struct SparseShardState {
-    /// Sorted absolute indices whose probability diverged from the
-    /// residual, and their probabilities (parallel arrays).
-    std::vector<int> touched;
-    std::vector<double> value;
-    /// The shared probability of every untouched index in the shard
-    /// (0.0 when the shard is fully materialized).
-    double residual = 0.0;
-
-    // --- per-update scratch ---
-    std::vector<int> next_touched;
-    std::vector<double> logw;
-    std::vector<double> weight;
-    double untouched_logw = 0.0;
-    double untouched_weight = 0.0;
-    int untouched_count = 0;
-
-    int touched_count() const { return static_cast<int>(touched.size()); }
-  };
+  /// kSparse storage (sharded_hypothesis.cc).
+  class SparseShards;
 
   /// Folds the per-shard partial sums up the fixed reduction tree:
   /// combines shards [lo, hi) by the same halving that generated the
   /// partition, so the result equals PairwiseSum over the whole range.
   double CombineShardSums(int lo, int hi) const;
 
-  void DenseMultiplicativeUpdate(const std::vector<double>& payoff,
-                                 double eta);
-  void SparseMultiplicativeUpdate(const std::vector<double>& payoff,
-                                  double eta);
-  Status DelegateMultiplicativeUpdate(const std::vector<double>& payoff,
-                                      double eta);
-  /// Rebuilds sparse_ for the current shards_ partition from the given
-  /// global view (sorted touched pairs + the shared residual).
-  void RebuildSparseShards(const std::vector<int>& touched,
-                           const std::vector<double>& value, double residual);
-  /// The shard index owning domain element i.
-  int ShardOf(int i) const;
-
   int size_ = 0;
   HypothesisBackend backend_ = HypothesisBackend::kDense;
-  SparseHypothesisOptions sparse_options_;
-  /// Dense backend storage: probabilities and reusable update scratch
-  /// (log-weights, then unnormalized weights). Empty under kSparse.
-  std::vector<double> p_;
-  std::vector<double> scratch_;
-  /// Sparse backend storage, parallel to shards_. Empty under kDense.
-  std::vector<SparseShardState> sparse_;
   std::vector<HypothesisShard> shards_;
   uint64_t fingerprint_ = 0;
-  /// Updates applied so far: gates SetBackend and indexes the
-  /// sampled-normalizer seed schedule.
-  uint64_t update_count_ = 0;
   ShardRunner runner_;
-  /// Remote phase executor; null means local storage (the default).
-  HypothesisDelegate* delegate_ = nullptr;
+  /// The local storage (a DenseSlice or the sparse shards); null under a
+  /// delegate.
+  std::unique_ptr<HypothesisDelegate> local_;
+  /// local_ when it is the sparse storage, for its footprint.
+  const SparseShards* sparse_ = nullptr;
+  /// What MultiplicativeUpdate and CompactSupport drive: local_ or the
+  /// installed delegate.
+  HypothesisDelegate* storage_ = nullptr;
 };
 
 }  // namespace core

@@ -112,17 +112,14 @@ PmwService::PmwService(const data::Dataset* dataset, erm::Oracle* oracle,
       router_(pool_.get()) {
   // Partition the hypothesis and route its per-shard MW-update work
   // through the pool. A single shard keeps the inline (sequential) path.
+  // With a delegate (multi-host topology: cluster::Combiner) the
+  // per-shard phases run in shard-group worker processes instead.
   cm_.ConfigureSharding(
       serve_options.num_shards,
       serve_options.num_shards > 1 ? router_.AsRunner()
                                    : core::ShardRunner{},
-      serve_options.hypothesis_backend, serve_options.sparse);
-  if (serve_options.hypothesis_delegate != nullptr) {
-    // Multi-host topology: per-shard MW phases run in shard-group worker
-    // processes behind the delegate (cluster::Combiner). Install after
-    // sharding so the delegate sees the final partition.
-    cm_.SetHypothesisDelegate(serve_options.hypothesis_delegate);
-  }
+      serve_options.hypothesis_backend, serve_options.sparse,
+      serve_options.hypothesis_delegate);
 
   // Bind the metrics registry (injected by the endpoint, or a private
   // one) and resolve every instrument handle once; all hot-path

@@ -20,6 +20,11 @@
 //   (d) Typed failure taxonomy: dead addresses and exhausted recovery
 //       surface as kTransportError / kShardUnavailable, never as hangs,
 //       crashes, or silent zeros.
+//   (e) Wire input and arithmetic: shard-RPC (index, value) payloads are
+//       validated before any conversion, and a worker's slice agrees
+//       with the front door's local storage bit for bit — per-shard
+//       maxima, partial sums and probabilities — at sizes where the
+//       SIMD kernels have tails, with SIMD on and off.
 //
 // The TSan CI job rebuilds this binary: combiner fan-out, worker frame
 // loops, and transport reader threads all run under the race detector.
@@ -30,8 +35,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -46,7 +55,10 @@
 #include "cluster/combiner.h"
 #include "cluster/slice_host.h"
 #include "cluster/worker.h"
+#include "common/random.h"
+#include "common/simd.h"
 #include "core/pmw_cm.h"
+#include "core/sharded_hypothesis.h"
 #include "data/binary_universe.h"
 #include "data/generators.h"
 #include "erm/noisy_gradient_oracle.h"
@@ -724,6 +736,219 @@ TEST_F(ClusterTest, ExhaustedRecoverySurfacesAsShardUnavailableAtZeroCost) {
   EXPECT_EQ(api::ClassifyStatus(failed), api::ErrorCode::kShardUnavailable)
       << failed.ToString();
   EXPECT_EQ(combiner.update_seq(), 0u) << "failed update must not commit";
+}
+
+// ---------------------------------------------------------------------------
+// (e) Wire input validation and worker/front-door bit agreement.
+// ---------------------------------------------------------------------------
+
+bool SameBits(double a, double b) {
+  uint64_t ab, bb;
+  std::memcpy(&ab, &a, sizeof(ab));
+  std::memcpy(&bb, &b, sizeof(bb));
+  return ab == bb;
+}
+
+TEST(IndexPairsTest, DecodeReturnsWhatEncodeEmitted) {
+  const data::HistogramSupport support = {{3, 0.25}, {4, 0.5}, {9, 0.125}};
+  const Result<data::HistogramSupport> decoded =
+      DecodeIndexPairs(EncodeIndexPairs(support), 0, 10);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value(), support);
+}
+
+TEST(IndexPairsTest, DecodeRejectsMalformedPayloadsWithTypedErrors) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> bad = {
+      {nan, 0.5},              // NaN index
+      {inf, 0.5},              // +inf
+      {-inf, 0.5},             // -inf
+      {2147483648.0, 0.5},     // 2^31: would overflow the int cast
+      {-1.0, 0.5},             // negative
+      {2.5, 0.5},              // not an integer
+      {10.0, 0.5},             // == hi: outside [0, 10)
+      {3.0, 0.5, 3.0, 0.25},   // repeated
+      {5.0, 0.5, 4.0, 0.25},   // decreasing
+      {3.0, 0.5, 4.0},         // odd length
+      {3.0, nan},              // NaN mass
+      {3.0, 0.0},              // Snapshot never emits a zero mass
+  };
+  for (size_t k = 0; k < bad.size(); ++k) {
+    const Result<data::HistogramSupport> decoded =
+        DecodeIndexPairs(bad[k], 0, 10);
+    ASSERT_FALSE(decoded.ok()) << "case " << k;
+    EXPECT_EQ(api::ClassifyStatus(decoded.status()),
+              api::ErrorCode::kMalformedRequest)
+        << "case " << k;
+  }
+  // The range is the caller's: an index valid for one slice is outside
+  // another.
+  EXPECT_FALSE(DecodeIndexPairs({3.0, 0.5}, 4, 8).ok());
+}
+
+TEST(SliceHostTest, RejectedRestoreLeavesTheSliceUnchanged) {
+  SliceHost slice;
+  ASSERT_TRUE(slice.Configure(16, 4, 0, 2).ok());  // owns [0, 8)
+  // One update moves the slice off uniform, so a stray fill would show.
+  std::vector<double> payoff = {0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7};
+  std::vector<double> local_max, local_sum;
+  ASSERT_TRUE(slice.Reweigh(0, payoff, 0.5, &local_max).ok());
+  ASSERT_TRUE(slice.Partials(0, local_max.back(), &local_sum).ok());
+  ASSERT_TRUE(slice.Normalize(0, local_sum[0] + local_sum[1]).ok());
+  const Result<data::HistogramSupport> before = slice.Snapshot(0, 8);
+  ASSERT_TRUE(before.ok());
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::vector<double>& pairs :
+       std::vector<std::vector<double>>{{nan, 0.5},
+                                        {1.0, 0.5, 8.0, 0.5},
+                                        {3.0, 0.5, 2.0, 0.5},
+                                        {1.0, 0.5, 2.0}}) {
+    const Status rejected = slice.Restore(/*update_seq=*/7, pairs);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(api::ClassifyStatus(rejected),
+              api::ErrorCode::kMalformedRequest);
+    EXPECT_EQ(slice.updates_applied(), 1u);
+    const Result<data::HistogramSupport> after = slice.Snapshot(0, 8);
+    ASSERT_TRUE(after.ok());
+    ASSERT_EQ(after.value().size(), before.value().size());
+    for (size_t k = 0; k < before.value().size(); ++k) {
+      EXPECT_EQ(after.value()[k].first, before.value()[k].first);
+      EXPECT_TRUE(
+          SameBits(after.value()[k].second, before.value()[k].second));
+    }
+  }
+
+  // A valid checkpoint installs exactly its entries.
+  const data::HistogramSupport checkpoint = {{1, 0.5}, {6, 0.5}};
+  ASSERT_TRUE(slice.Restore(5, EncodeIndexPairs(checkpoint)).ok());
+  EXPECT_EQ(slice.updates_applied(), 5u);
+  EXPECT_EQ(slice.Snapshot(0, 8).value(), checkpoint);
+}
+
+/// Two SliceHost shard groups behind the delegate seam, in process: the
+/// combiner's fan-out without the transport, so the front door's
+/// MultiplicativeUpdate runs unchanged over worker slices.
+class InProcessGroups : public core::HypothesisDelegate {
+ public:
+  InProcessGroups(int domain_size, int num_shards) {
+    const int half = num_shards / 2;
+    EXPECT_TRUE(hosts_[0].Configure(domain_size, num_shards, 0, half).ok());
+    EXPECT_TRUE(
+        hosts_[1].Configure(domain_size, num_shards, half, num_shards).ok());
+  }
+
+  Status Reweigh(const std::vector<double>& payoff, double eta,
+                 std::vector<double>* local_max) override {
+    local_max->clear();
+    for (SliceHost& host : hosts_) {
+      const std::vector<double> slice(payoff.begin() + host.base(),
+                                      payoff.begin() + host.end());
+      std::vector<double> group;
+      Status status = host.Reweigh(seq_, slice, eta, &group);
+      if (!status.ok()) return status;
+      local_max->insert(local_max->end(), group.begin(), group.end());
+    }
+    return Status::Ok();
+  }
+  Status PartialSums(double global_max,
+                     std::vector<double>* local_sum) override {
+    local_sum->clear();
+    for (SliceHost& host : hosts_) {
+      std::vector<double> group;
+      Status status = host.Partials(seq_, global_max, &group);
+      if (!status.ok()) return status;
+      local_sum->insert(local_sum->end(), group.begin(), group.end());
+    }
+    return Status::Ok();
+  }
+  Status Normalize(double total) override {
+    for (SliceHost& host : hosts_) {
+      Status status = host.Normalize(seq_, total);
+      if (!status.ok()) return status;
+    }
+    ++seq_;
+    return Status::Ok();
+  }
+  Result<data::HistogramSupport> Snapshot(int lo, int hi) override {
+    data::HistogramSupport support;
+    for (SliceHost& host : hosts_) {
+      const int slice_lo = std::max(lo, host.base());
+      const int slice_hi = std::min(hi, host.end());
+      if (slice_lo >= slice_hi) continue;
+      Result<data::HistogramSupport> slice = host.Snapshot(slice_lo, slice_hi);
+      if (!slice.ok()) return slice.status();
+      support.insert(support.end(), slice.value().begin(),
+                     slice.value().end());
+    }
+    return support;
+  }
+
+  SliceHost& host(int g) { return hosts_[static_cast<size_t>(g)]; }
+
+ private:
+  std::array<SliceHost, 2> hosts_;
+  uint64_t seq_ = 0;
+};
+
+TEST(SliceHostTest, WorkersAgreeWithTheFrontDoorBitForBitAtKernelTails) {
+  // Sizes whose shards leave remainders past every 4-lane kernel body
+  // (and |X| = 5, where some shards are a single element), two groups
+  // over 4- and 8-shard partitions, SIMD on and off. With SIMD off both
+  // sides run the scalar loops; without AVX2 support SetEnabled(true)
+  // stays scalar too, and the comparison still holds.
+  const bool simd_was_enabled = simd::Enabled();
+  for (bool simd_on : {true, false}) {
+    simd::SetEnabled(simd_on);
+    for (int size : {5, 33, 1000, 2048}) {
+      for (int requested : {4, 8}) {
+        const int shards =
+            static_cast<int>(core::PartitionDomain(size, requested).size());
+        core::ShardedHypothesis front(size, shards);
+        InProcessGroups groups(size, shards);
+        core::ShardedHypothesis workers(size, shards, nullptr,
+                                        core::HypothesisBackend::kDense, {},
+                                        &groups);
+        Rng rng(7100 + static_cast<uint64_t>(size) * 16 +
+                static_cast<uint64_t>(shards));
+        for (int round = 0; round < 20; ++round) {
+          std::vector<double> payoff(static_cast<size_t>(size));
+          for (double& value : payoff) value = rng.Gaussian(0.0, 1.0);
+          const double eta = rng.Uniform(-2.0, 2.0);
+          ASSERT_TRUE(front.MultiplicativeUpdate(payoff, eta).ok());
+          ASSERT_TRUE(workers.MultiplicativeUpdate(payoff, eta).ok());
+          const std::string where =
+              "simd=" + std::to_string(simd_on) + " size=" +
+              std::to_string(size) + " shards=" + std::to_string(shards) +
+              " round=" + std::to_string(round);
+          for (int s = 0; s < shards; ++s) {
+            ASSERT_TRUE(SameBits(front.shard(s).local_max,
+                                 workers.shard(s).local_max))
+                << where << " max of shard " << s;
+            ASSERT_TRUE(SameBits(front.shard(s).local_sum,
+                                 workers.shard(s).local_sum))
+                << where << " sum of shard " << s;
+          }
+          for (int g = 0; g < 2; ++g) {
+            SliceHost& host = groups.host(g);
+            const Result<data::HistogramSupport> got =
+                host.Snapshot(host.base(), host.end());
+            const data::HistogramSupport want =
+                front.CompactSupport(host.base(), host.end());
+            ASSERT_TRUE(got.ok());
+            ASSERT_EQ(got.value().size(), want.size()) << where;
+            for (size_t k = 0; k < want.size(); ++k) {
+              ASSERT_EQ(got.value()[k].first, want[k].first) << where;
+              ASSERT_TRUE(SameBits(got.value()[k].second, want[k].second))
+                  << where << " index " << want[k].first;
+            }
+          }
+        }
+      }
+    }
+  }
+  simd::SetEnabled(simd_was_enabled);
 }
 
 }  // namespace

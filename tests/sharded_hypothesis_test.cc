@@ -44,10 +44,7 @@ TEST(ShardedHypothesisTest, UpdateIsBitIdenticalAtEveryShardCount) {
     ShardedHypothesis reference(size);
     ASSERT_EQ(reference.num_shards(), 1);
     std::vector<ShardedHypothesis> sharded;
-    for (int shards : {2, 4, 8}) {
-      sharded.emplace_back(size);
-      sharded.back().Repartition(shards);
-    }
+    for (int shards : {2, 4, 8}) sharded.emplace_back(size, shards);
 
     Rng rng(900 + static_cast<uint64_t>(size));
     for (int round = 0; round < 20; ++round) {
@@ -72,11 +69,9 @@ TEST(ShardedHypothesisTest, UpdateIsBitIdenticalUnderAConcurrentRunner) {
   // are fixed-order on the caller, so the bits cannot move.
   constexpr int kSize = 257;
   ShardedHypothesis reference(kSize);
-  ShardedHypothesis threaded(kSize);
-  threaded.Repartition(4);
   std::atomic<int> sections{0};
-  threaded.set_runner(
-      [&sections](int shards, const std::function<void(int)>& fn) {
+  ShardedHypothesis threaded(
+      kSize, 4, [&sections](int shards, const std::function<void(int)>& fn) {
         ++sections;
         std::vector<std::thread> workers;
         for (int s = shards - 1; s >= 0; --s) {
@@ -100,17 +95,17 @@ TEST(ShardedHypothesisTest, UpdateIsBitIdenticalUnderAConcurrentRunner) {
   EXPECT_EQ(sections.load(), 30);
 }
 
-TEST(ShardedHypothesisTest, RepartitionRoundsDownAndClamps) {
-  ShardedHypothesis hypothesis(16);
-  EXPECT_EQ(hypothesis.Repartition(1), 1);
-  EXPECT_EQ(hypothesis.Repartition(2), 2);
-  EXPECT_EQ(hypothesis.Repartition(3), 2);   // round down to a power of 2
-  EXPECT_EQ(hypothesis.Repartition(4), 4);
-  EXPECT_EQ(hypothesis.Repartition(7), 4);
-  EXPECT_EQ(hypothesis.Repartition(64), 16);  // clamp to the size
+TEST(ShardedHypothesisTest, ShardCountRoundsDownAndClamps) {
+  EXPECT_EQ(ShardedHypothesis(16, 0).num_shards(), 1);  // 0: unsharded
+  EXPECT_EQ(ShardedHypothesis(16, 1).num_shards(), 1);
+  EXPECT_EQ(ShardedHypothesis(16, 2).num_shards(), 2);
+  EXPECT_EQ(ShardedHypothesis(16, 3).num_shards(), 2);  // round down
+  EXPECT_EQ(ShardedHypothesis(16, 4).num_shards(), 4);
+  EXPECT_EQ(ShardedHypothesis(16, 7).num_shards(), 4);
+  EXPECT_EQ(ShardedHypothesis(16, 64).num_shards(), 16);  // clamp to size
 
   // Shards partition [0, size) contiguously, every one non-empty.
-  hypothesis.Repartition(4);
+  const ShardedHypothesis hypothesis(16, 4);
   int expected_lo = 0;
   for (const HypothesisShard& shard : hypothesis.shards()) {
     EXPECT_EQ(shard.lo, expected_lo);
@@ -120,17 +115,13 @@ TEST(ShardedHypothesisTest, RepartitionRoundsDownAndClamps) {
   EXPECT_EQ(expected_lo, hypothesis.size());
 
   // Fingerprints identify the partition, not the content.
-  ShardedHypothesis other(16);
-  other.Repartition(4);
-  EXPECT_EQ(hypothesis.fingerprint(), other.fingerprint());
-  other.Repartition(2);
-  EXPECT_NE(hypothesis.fingerprint(), other.fingerprint());
+  EXPECT_EQ(hypothesis.fingerprint(), ShardedHypothesis(16, 4).fingerprint());
+  EXPECT_NE(hypothesis.fingerprint(), ShardedHypothesis(16, 2).fingerprint());
 }
 
 TEST(ShardedHypothesisTest, ShardSupportsConcatenateToTheFullSupport) {
   constexpr int kSize = 37;
-  ShardedHypothesis hypothesis(kSize);
-  hypothesis.Repartition(4);
+  ShardedHypothesis hypothesis(kSize, 4);
   Rng rng(7);
   hypothesis.MultiplicativeUpdate(RandomPayoff(kSize, &rng), 0.8);
 
@@ -184,11 +175,9 @@ TEST(ShardedHypothesisTest, SparseExactModeIsBitIdenticalToDense) {
   // only the payoff-touched support.
   for (int size : {5, 16, 33, 128, 1000}) {
     for (int shards : {1, 2, 4, 8}) {
-      ShardedHypothesis dense(size);
-      dense.Repartition(shards);
-      ShardedHypothesis sparse(size);
-      sparse.SetBackend(HypothesisBackend::kSparse);
-      sparse.Repartition(shards);
+      ShardedHypothesis dense(size, shards);
+      ShardedHypothesis sparse(size, shards, nullptr,
+                               HypothesisBackend::kSparse);
       ASSERT_EQ(sparse.num_shards(), dense.num_shards());
       EXPECT_EQ(sparse.materialized_entries(), 0);
 
@@ -233,9 +222,7 @@ TEST(ShardedHypothesisTest, SparseExactModeIsBitIdenticalToDense) {
 
 TEST(ShardedHypothesisTest, SparseMaterializesOnlyTheTouchedSupport) {
   constexpr int kSize = 4096;
-  ShardedHypothesis sparse(kSize);
-  sparse.SetBackend(HypothesisBackend::kSparse);
-  sparse.Repartition(4);
+  ShardedHypothesis sparse(kSize, 4, nullptr, HypothesisBackend::kSparse);
 
   // Touch 3 indices; everything else is (eta * 0)-untouched and must
   // stay on the shared per-shard residual, not in materialized storage.
@@ -264,9 +251,8 @@ TEST(ShardedHypothesisTest, PayoffThresholdKeepsSmallPayoffsUntouched) {
   constexpr int kSize = 64;
   SparseHypothesisOptions options;
   options.payoff_threshold = 0.1;
-  ShardedHypothesis sparse(kSize);
-  sparse.SetBackend(HypothesisBackend::kSparse, options);
-  sparse.Repartition(2);
+  ShardedHypothesis sparse(kSize, 2, nullptr, HypothesisBackend::kSparse,
+                           options);
 
   // Every payoff under the threshold: nothing materializes and the
   // hypothesis stays exactly uniform (all weights move together).
@@ -300,19 +286,15 @@ TEST(ShardedHypothesisTest, SampledNormalizerIsDeterministicAndBounded) {
   options.normalizer_samples = 256;
   options.seed = 42;
 
-  ShardedHypothesis dense(kSize);
-  dense.Repartition(4);
-  ShardedHypothesis approx(kSize);
-  approx.SetBackend(HypothesisBackend::kSparse, options);
-  approx.Repartition(4);
-  ShardedHypothesis replay(kSize);
-  replay.SetBackend(HypothesisBackend::kSparse, options);
-  replay.Repartition(4);
+  ShardedHypothesis dense(kSize, 4);
+  ShardedHypothesis approx(kSize, 4, nullptr, HypothesisBackend::kSparse,
+                           options);
+  ShardedHypothesis replay(kSize, 4, nullptr, HypothesisBackend::kSparse,
+                           options);
   SparseHypothesisOptions reseeded = options;
   reseeded.seed = 43;
-  ShardedHypothesis other_seed(kSize);
-  other_seed.SetBackend(HypothesisBackend::kSparse, reseeded);
-  other_seed.Repartition(4);
+  ShardedHypothesis other_seed(kSize, 4, nullptr, HypothesisBackend::kSparse,
+                               reseeded);
 
   Rng rng(2026);
   bool seed_matters = false;
