@@ -369,8 +369,8 @@ struct SimdRun {
   uint64_t fingerprint = 0;
 };
 
-/// FNV-1a over every support entry's index and mass bits, as
-/// serve::EpochState fingerprints a slice: any moved bit changes it.
+/// FNV-1a over every support entry's index and mass bits: any moved bit
+/// changes it.
 uint64_t ContentFingerprint(const data::HistogramSupport& support) {
   uint64_t hash = 1469598103934665603ull;
   const auto mix = [&hash](uint64_t word) {

@@ -43,7 +43,7 @@ them); only a latency distribution that got materially worse is a
 regression. One counter-derived ratio IS gated: the cross-batch
 plan-cache hit rate (hits/lookups) may not drop more than
 --max-hit-rate-drop absolute points below the baseline's -- a plan-cache
-keying or fingerprint bug regresses there first.
+keying bug regresses there first.
 
 Promoting a baseline: download the BENCH json artifacts from a green
 nightly run and feed them to bench/promote_baselines.py, which buckets
@@ -114,9 +114,8 @@ def compare_metrics_dumps(baseline_dir, candidate_dir, cand_cores_by_name,
     The plan-cache floor: when baseline and candidate both saw enough
     plan lookups, the candidate's hit rate may not fall more than
     --max-hit-rate-drop absolute points below the baseline's. This is
-    the plan-cache regression tripwire -- a keying or fingerprint bug
-    shows up as warm-stream lookups that stop hitting long before it
-    shows up in p99.
+    the plan-cache regression tripwire -- a keying bug shows up as
+    warm-stream lookups that stop hitting long before it shows up in p99.
     """
     for path in sorted(candidate_dir.glob("METRICS_*.json")):
         scenario = path.stem[len("METRICS_"):]

@@ -13,8 +13,9 @@ given (useful when promoting a deliberately loosened scenario).
 
 Typical flow:
 
-  ./build/bench_scenarios --out-dir /tmp/bench
-  ./build/bench_serve_parallel --json-dir /tmp/bench
+  mkdir -p /tmp/bench
+  ./build/bench_scenarios --out-dir=/tmp/bench
+  ./build/bench_serve_parallel --json-dir=/tmp/bench
   python3 bench/promote_baselines.py /tmp/bench
   git add bench/baselines && git commit
 """

@@ -27,6 +27,28 @@ std::unique_ptr<erm::Oracle> MakeOracle(OracleKind kind) {
   return std::make_unique<erm::NoisyGradientOracle>();
 }
 
+/// The front door's one protocol-version gate. Returns the reply envelope
+/// every handler starts from: the request id echoed and, when this
+/// endpoint speaks `version`, that version with no error; otherwise a
+/// typed kVersionMismatch rejection at the endpoint's own version (the
+/// request's layout is unknowable). `kind` names the request in the
+/// message.
+AnswerEnvelope GateVersion(uint8_t version, uint64_t request_id,
+                           const std::string& kind) {
+  AnswerEnvelope envelope;
+  envelope.request_id = request_id;
+  if (version >= kMinProtocolVersion && version <= kProtocolVersion) {
+    envelope.version = version;
+    return envelope;
+  }
+  envelope.error = ErrorCode::kVersionMismatch;
+  envelope.message = "endpoint: " + kind + " speaks protocol version " +
+                     std::to_string(version) + "; this endpoint speaks [" +
+                     std::to_string(kMinProtocolVersion) + ", " +
+                     std::to_string(kProtocolVersion) + "]";
+  return envelope;
+}
+
 }  // namespace
 
 void CodecCounters::BindTo(obs::Registry* registry) {
@@ -80,23 +102,11 @@ std::future<AnswerEnvelope> ServerEndpoint::Ready(AnswerEnvelope envelope) {
 }
 
 std::future<AnswerEnvelope> ServerEndpoint::Handle(QueryRequest request) {
-  if (request.version < kMinProtocolVersion ||
-      request.version > kProtocolVersion) {
-    AnswerEnvelope envelope;
-    envelope.request_id = request.request_id;
-    envelope.error = ErrorCode::kVersionMismatch;
-    envelope.message =
-        "endpoint: request speaks protocol version " +
-        std::to_string(request.version) + "; this endpoint speaks [" +
-        std::to_string(kMinProtocolVersion) + ", " +
-        std::to_string(kProtocolVersion) + "]";
-    return Ready(std::move(envelope));
-  }
+  AnswerEnvelope envelope =
+      GateVersion(request.version, request.request_id, "request");
+  if (!envelope.ok()) return Ready(std::move(envelope));
   const convex::CmQuery* query = catalog_->Find(request.query_name);
   if (query == nullptr) {
-    AnswerEnvelope envelope;
-    envelope.version = request.version;
-    envelope.request_id = request.request_id;
     envelope.error = ErrorCode::kUnknownQuery;
     envelope.message = "endpoint: catalog has no query named '" +
                        request.query_name + "'";
@@ -171,19 +181,9 @@ std::vector<std::future<AnswerEnvelope>> ServerEndpoint::HandleBatch(
 }
 
 AnswerEnvelope ServerEndpoint::HandleStats(const StatsRequest& request) {
-  AnswerEnvelope envelope;
-  envelope.request_id = request.request_id;
-  if (request.version < kMinProtocolVersion ||
-      request.version > kProtocolVersion) {
-    envelope.error = ErrorCode::kVersionMismatch;
-    envelope.message =
-        "endpoint: stats request speaks protocol version " +
-        std::to_string(request.version) + "; this endpoint speaks [" +
-        std::to_string(kMinProtocolVersion) + ", " +
-        std::to_string(kProtocolVersion) + "]";
-    return envelope;
-  }
-  envelope.version = request.version;
+  AnswerEnvelope envelope =
+      GateVersion(request.version, request.request_id, "stats request");
+  if (!envelope.ok()) return envelope;
   envelope.message = Report();
   // The live budget view, through the same locked reads Finish uses.
   envelope.meta.hard_rounds_remaining = quota_->HardRoundsRemaining();
@@ -194,27 +194,18 @@ AnswerEnvelope ServerEndpoint::HandleStats(const StatsRequest& request) {
   envelope.meta.shards = static_cast<uint32_t>(service_->num_shards());
   // The epoch holder is the mutex-guarded view of the hypothesis
   // version (the live counter belongs to the serving writer).
-  std::shared_ptr<const serve::Epoch> epoch = service_->epochs().Current();
-  if (epoch != nullptr) {
-    envelope.meta.epoch = static_cast<uint64_t>(epoch->snapshot->version);
+  std::shared_ptr<const core::HypothesisSnapshot> snapshot =
+      service_->epochs().Current();
+  if (snapshot != nullptr) {
+    envelope.meta.epoch = static_cast<uint64_t>(snapshot->version);
   }
   return envelope;
 }
 
 AnswerEnvelope ServerEndpoint::HandleMetrics(const MetricsRequest& request) {
-  AnswerEnvelope envelope;
-  envelope.request_id = request.request_id;
-  if (request.version < kMinProtocolVersion ||
-      request.version > kProtocolVersion) {
-    envelope.error = ErrorCode::kVersionMismatch;
-    envelope.message =
-        "endpoint: metrics request speaks protocol version " +
-        std::to_string(request.version) + "; this endpoint speaks [" +
-        std::to_string(kMinProtocolVersion) + ", " +
-        std::to_string(kProtocolVersion) + "]";
-    return envelope;
-  }
-  envelope.version = request.version;
+  AnswerEnvelope envelope =
+      GateVersion(request.version, request.request_id, "metrics request");
+  if (!envelope.ok()) return envelope;
   // Refresh the scrape-time SLO burn gauges from the live histograms
   // BEFORE rendering, so the exposition the scraper reads already
   // carries them. Scrape-thread-only work: the serving writer never
@@ -244,19 +235,9 @@ AnswerEnvelope ServerEndpoint::HandleMetrics(const MetricsRequest& request) {
 }
 
 AnswerEnvelope ServerEndpoint::HandleTrace(const TraceRequest& request) {
-  AnswerEnvelope envelope;
-  envelope.request_id = request.request_id;
-  if (request.version < kMinProtocolVersion ||
-      request.version > kProtocolVersion) {
-    envelope.error = ErrorCode::kVersionMismatch;
-    envelope.message =
-        "endpoint: trace request speaks protocol version " +
-        std::to_string(request.version) + "; this endpoint speaks [" +
-        std::to_string(kMinProtocolVersion) + ", " +
-        std::to_string(kProtocolVersion) + "]";
-    return envelope;
-  }
-  envelope.version = request.version;
+  AnswerEnvelope envelope =
+      GateVersion(request.version, request.request_id, "trace request");
+  if (!envelope.ok()) return envelope;
   envelope.message = obs::TraceRecorder::Format(traces_.SlowRequests(
       request.min_total_us,
       std::min<size_t>(request.max_traces, traces_.capacity())));
@@ -264,19 +245,9 @@ AnswerEnvelope ServerEndpoint::HandleTrace(const TraceRequest& request) {
 }
 
 AnswerEnvelope ServerEndpoint::HandleHello(const HelloRequest& request) {
-  AnswerEnvelope envelope;
-  envelope.request_id = request.request_id;
-  if (request.version < kMinProtocolVersion ||
-      request.version > kProtocolVersion) {
-    envelope.error = ErrorCode::kVersionMismatch;
-    envelope.message =
-        "endpoint: hello request speaks protocol version " +
-        std::to_string(request.version) + "; this endpoint speaks [" +
-        std::to_string(kMinProtocolVersion) + ", " +
-        std::to_string(kProtocolVersion) + "]";
-    return envelope;
-  }
-  envelope.version = request.version;
+  AnswerEnvelope envelope =
+      GateVersion(request.version, request.request_id, "hello request");
+  if (!envelope.ok()) return envelope;
   if (options_.auth_token.empty()) return envelope;  // open endpoint
   if (request.analyst_id.empty()) {
     envelope.error = ErrorCode::kAuthRequired;

@@ -206,7 +206,9 @@ class PmwCm {
   }
 
   /// Increments exactly when the hypothesis histogram changes (one MW
-  /// update per kTop answer); keys PreparedQuery caches.
+  /// update per kTop answer) and never otherwise, so equal versions mean
+  /// equal hypotheses: the one key of serve::PlanCache and of epoch
+  /// snapshot reuse.
   int hypothesis_version() const { return update_count_; }
 
   /// Rebuilds the (still uniform) hypothesis with its serving layout:
@@ -234,13 +236,6 @@ class PmwCm {
   }
 
   int num_shards() const { return hypothesis_.num_shards(); }
-  /// Stable identity of the shard partition; keys (epoch, shard-set)-
-  /// aware plan caches.
-  uint64_t shard_fingerprint() const { return hypothesis_.fingerprint(); }
-  /// The shard ranges, in domain order (what epochs slice snapshots by).
-  const std::vector<HypothesisShard>& shard_layout() const {
-    return hypothesis_.shards();
-  }
 
   /// Solve/MW breakdown of the last AnswerPrepared call (zeros on bottom
   /// answers and rejections).
@@ -259,9 +254,6 @@ class PmwCm {
 
   /// Audit trail of every differentially private access.
   const dp::PrivacyLedger& ledger() const { return ledger_; }
-
-  /// The error oracle used internally (shared for measurement code).
-  const ErrorOracle& error_oracle() const { return error_oracle_; }
 
  private:
   const data::Dataset* dataset_;

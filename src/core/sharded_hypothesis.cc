@@ -431,19 +431,6 @@ ShardedHypothesis::ShardedHypothesis(int size, int shards, ShardRunner runner,
       backend_(backend),
       shards_(PartitionDomain(size, shards)),
       runner_(std::move(runner)) {
-  // FNV-1a over the partition: shard-set identity for plan caches.
-  uint64_t hash = 1469598103934665603ull;
-  const auto mix = [&hash](uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ull;
-  };
-  mix(static_cast<uint64_t>(shards_.size()));
-  for (const HypothesisShard& shard : shards_) {
-    mix(static_cast<uint64_t>(shard.lo));
-    mix(static_cast<uint64_t>(shard.hi));
-  }
-  fingerprint_ = hash;
-
   if (delegate != nullptr) {
     PMW_CHECK_MSG(backend == HypothesisBackend::kDense,
                   "delegated execution requires the dense backend "

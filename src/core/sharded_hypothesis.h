@@ -267,10 +267,6 @@ class ShardedHypothesis {
   /// Probability of element i (0.0 when it has left the support).
   double operator[](int i) const;
 
-  /// Stable identity of the partition (count + boundaries), not of the
-  /// content: what (epoch, shard-set)-aware plan caches key on.
-  uint64_t fingerprint() const { return fingerprint_; }
-
   /// Entries held in this process: size() under local kDense, the
   /// touched support under kSparse, 0 with a delegate (its state is
   /// materialized elsewhere). The memory-footprint observable benches
@@ -279,7 +275,7 @@ class ShardedHypothesis {
 
   /// The strictly-positive entries, full or per shard range — same
   /// semantics as data::Histogram::CompactSupport, identical output for
-  /// every storage, so epoch slice views are storage-agnostic.
+  /// every storage, so epoch snapshots are storage-agnostic.
   data::HistogramSupport CompactSupport() const;
   data::HistogramSupport CompactSupport(int lo, int hi) const;
 
@@ -314,7 +310,6 @@ class ShardedHypothesis {
   int size_ = 0;
   HypothesisBackend backend_ = HypothesisBackend::kDense;
   std::vector<HypothesisShard> shards_;
-  uint64_t fingerprint_ = 0;
   ShardRunner runner_;
   /// The local storage (a DenseSlice or the sparse shards); null under a
   /// delegate.

@@ -92,18 +92,6 @@ HistogramSupport Histogram::CompactSupport(int lo, int hi) const {
   return support;
 }
 
-SupportSlice SliceSupport(const HistogramSupport& support, int lo, int hi) {
-  PMW_CHECK_LE(lo, hi);
-  const auto index_less = [](const std::pair<int, double>& entry,
-                             int index) { return entry.first < index; };
-  const auto begin =
-      std::lower_bound(support.begin(), support.end(), lo, index_less);
-  const auto end =
-      std::lower_bound(begin, support.end(), hi, index_less);
-  return SupportSlice(support.data() + (begin - support.begin()),
-                      static_cast<size_t>(end - begin));
-}
-
 int Histogram::SampleIndex(Rng* rng) const {
   PMW_CHECK(rng != nullptr);
   return rng->Categorical(p_);

@@ -6,7 +6,6 @@
 #define PMWCM_DATA_HISTOGRAM_H_
 
 #include <functional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -23,16 +22,6 @@ namespace data {
 /// re-testing every row. The batched serving path compacts once per batch
 /// instead of once per query.
 using HistogramSupport = std::vector<std::pair<int, double>>;
-
-/// A zero-copy view of the contiguous run of support entries whose
-/// universe indices fall in [lo, hi) — the per-shard slices the serving
-/// epochs publish. Valid for as long as the backing support vector is.
-using SupportSlice = std::span<const std::pair<int, double>>;
-
-/// Slices `support` (ascending index order) to its [lo, hi) index range
-/// by binary search; no entries are copied. The slices of a partition of
-/// [0, size) concatenate back to exactly the full support.
-SupportSlice SliceSupport(const HistogramSupport& support, int lo, int hi);
 
 /// A normalized distribution over universe indices {0, ..., size-1}.
 class Histogram {

@@ -1,97 +1,27 @@
 #include "serve/epoch_state.h"
 
-#include <cstdint>
-#include <cstring>
-#include <utility>
-
 namespace pmw {
 namespace serve {
-namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-// Word-at-a-time FNV-1a variant: one xor-multiply per 64-bit word keeps
-// the fingerprint pass a small fraction of the snapshot compaction it
-// rides along with.
-inline uint64_t FnvMix(uint64_t hash, uint64_t word) {
-  return (hash ^ word) * kFnvPrime;
-}
-
-// FNV-1a over the exact bytes Prepare reads from a slice: each entry's
-// universe index and the IEEE bit pattern of its mass.
-uint64_t SliceContentFingerprint(const data::SupportSlice& slice) {
-  uint64_t hash = kFnvOffset;
-  for (const auto& [index, mass] : slice) {
-    hash = FnvMix(hash, static_cast<uint64_t>(static_cast<uint32_t>(index)));
-    uint64_t mass_bits;
-    static_assert(sizeof(mass_bits) == sizeof(mass));
-    std::memcpy(&mass_bits, &mass, sizeof(mass_bits));
-    hash = FnvMix(hash, mass_bits);
-  }
-  return hash;
-}
-
-}  // namespace
-
-std::shared_ptr<const Epoch> EpochState::Publish(const core::PmwCm& cm) {
-  auto epoch = std::make_shared<Epoch>();
-  epoch->shard_fingerprint = cm.shard_fingerprint();
-
-  // Reuse the previous epoch's snapshot when the hypothesis (version)
-  // and the shard partition are unchanged: the compacted support and its
-  // slice views are pure functions of both, so sharing them is
-  // observationally identical — and skips the O(|X|) compaction pass on
-  // every soft-round republish. Publish is writer-only, so reading
-  // current_ here races with nothing but readers (who only copy it).
-  const std::shared_ptr<const Epoch> prev = Current();
-  if (prev != nullptr && prev->snapshot != nullptr &&
-      prev->snapshot->version == cm.hypothesis_version() &&
-      prev->shard_fingerprint == epoch->shard_fingerprint) {
-    epoch->snapshot = prev->snapshot;
-    epoch->shards = prev->shards;
-    epoch->content_fingerprint = prev->content_fingerprint;
-  } else {
+std::shared_ptr<const core::HypothesisSnapshot> EpochState::Publish(
+    const core::PmwCm& cm) {
+  // Publish is writer-only, so reading current_ here races with nothing
+  // but readers (who only copy it).
+  std::shared_ptr<const core::HypothesisSnapshot> snapshot = Current();
+  if (snapshot == nullptr || snapshot->version != cm.hypothesis_version()) {
     // Snapshot outside the lock: it is the expensive part (one
     // compaction pass) and touches only writer-owned state, not ours.
-    epoch->snapshot =
-        std::make_shared<const core::HypothesisSnapshot>(
-            cm.SnapshotHypothesis());
-    // Per-shard slice views: cut AFTER the support vector reaches its
-    // final resting buffer (it never moves again — the epoch snapshot is
-    // immutable).
-    const std::vector<core::HypothesisShard>& layout = cm.shard_layout();
-    epoch->shards.reserve(layout.size());
-    // One O(K) fingerprint pass per fresh snapshot, folded into the
-    // epoch-wide content fingerprint in shard order; republished
-    // snapshots copy the fingerprints above instead of rehashing.
-    uint64_t combined = kFnvOffset;
-    for (const core::HypothesisShard& shard : layout) {
-      Epoch::ShardSlice slice;
-      slice.lo = shard.lo;
-      slice.hi = shard.hi;
-      slice.support =
-          data::SliceSupport(epoch->snapshot->support, shard.lo, shard.hi);
-      slice.content_fingerprint = SliceContentFingerprint(slice.support);
-      combined = FnvMix(combined, slice.content_fingerprint);
-      epoch->shards.push_back(slice);
-    }
-    epoch->content_fingerprint = combined;
+    snapshot = std::make_shared<const core::HypothesisSnapshot>(
+        cm.SnapshotHypothesis());
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  epoch->sequence = published_++;
-  current_ = epoch;
-  return current_;
+  current_ = snapshot;
+  return snapshot;
 }
 
-std::shared_ptr<const Epoch> EpochState::Current() const {
+std::shared_ptr<const core::HypothesisSnapshot> EpochState::Current() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return current_;
-}
-
-long long EpochState::epochs_published() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return published_;
 }
 
 }  // namespace serve

@@ -1,16 +1,15 @@
 // Cross-batch plan cache: a bounded map from query identity to the plan
-// last prepared for it and the epoch stamp it was prepared under.
+// last prepared for it.
 //
-// Correctness: a plan is served only when the probing epoch's
-// (shard_set, content) exactly equal the stamp it was computed under.
-// Prepare is a pure function of (query, support bytes), so equal content
-// fingerprints mean a recompute would be byte-identical and a hit cannot
-// change the transcript. The one field Prepare takes from the version
-// rather than the bytes, the plan's hypothesis_version, is rewritten to
-// the probing stamp's version on every hit, after which plan and
-// recompute agree byte for byte. A stale entry still lends its data_min
-// (min l_D) to the recompute: that value is a function of the query and
-// the mechanism's dataset alone, so one cache must serve one mechanism.
+// Correctness: a plan is served only when the version it was prepared at
+// (PreparedQuery::hypothesis_version) equals the probing snapshot's.
+// PmwCm::hypothesis_version() moves exactly when the hypothesis does, and
+// Prepare is a pure function of (query, snapshot), so an equal version
+// means a recompute would be byte-identical — version field included —
+// and a hit cannot change the transcript. Any other version is stale.
+// A stale entry still lends its data_min (min l_D) to the recompute: that
+// value is a function of the query and the mechanism's dataset alone, so
+// one cache must serve one mechanism.
 //
 // Lifetime contract: keys are the loss/domain pointers of QueryKey, so
 // the cache extends the repo's pointer-identity convention ("families own
@@ -22,7 +21,6 @@
 #define PMWCM_SERVE_PLAN_CACHE_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <unordered_map>
 
@@ -48,16 +46,6 @@ struct QueryKeyHash {
   }
 };
 
-/// The epoch identity a plan is computed under and validated against.
-/// `shard_set` names the partition, `content` folds the per-shard content
-/// fingerprints of the published support (Epoch::content_fingerprint),
-/// and `version` is the hypothesis version stamped into plans.
-struct PlanStamp {
-  int version = -1;
-  uint64_t shard_set = 0;
-  uint64_t content = 0;
-};
-
 /// Not thread-safe: only the serving writer touches it (PrepareRange
 /// probes before fanning work out and inserts after joining the shards).
 class PlanCache {
@@ -70,35 +58,28 @@ class PlanCache {
     kHit,
     /// No entry for the key.
     kMiss,
-    /// The entry's (shard_set, content) no longer matched; it was
-    /// dropped, since the hypothesis never revisits old content.
+    /// The entry was prepared at another version; it was dropped, since
+    /// the hypothesis never returns to an old version.
     kStale,
   };
 
-  /// On kHit copies the cached plan into `*plan`, restamped to
-  /// `stamp.version`. On kStale copies only the entry's data_min (min l_D,
-  /// which depends on the key's query and the dataset, not the epoch)
+  /// On kHit (the entry was prepared at `version`) copies the cached plan
+  /// into `*plan`. On kStale copies only the entry's data_min (min l_D,
+  /// which depends on the key's query and the dataset, not the version)
   /// into `*plan` before dropping the entry, so the caller's re-prepare
   /// can pass `*plan` as PmwCm::Prepare's `earlier` and skip the data-side
   /// solve. On kMiss leaves `*plan` untouched.
-  Probe Lookup(const QueryKey& key, const PlanStamp& stamp,
-               core::PreparedQuery* plan);
+  Probe Lookup(const QueryKey& key, int version, core::PreparedQuery* plan);
 
-  /// Stores a plan computed under `stamp`. A resident key is refreshed;
-  /// a new key is refused while the cache holds kMaxEntries entries.
-  void Insert(const QueryKey& key, const PlanStamp& stamp,
-              const core::PreparedQuery& plan);
+  /// Stores `plan` under its own hypothesis_version. A resident key is
+  /// refreshed; a new key is refused while the cache holds kMaxEntries
+  /// entries.
+  void Insert(const QueryKey& key, const core::PreparedQuery& plan);
 
   size_t size() const { return entries_.size(); }
 
  private:
-  struct Entry {
-    uint64_t shard_set = 0;
-    uint64_t content = 0;
-    core::PreparedQuery plan;
-  };
-
-  std::unordered_map<QueryKey, Entry, QueryKeyHash> entries_;
+  std::unordered_map<QueryKey, core::PreparedQuery, QueryKeyHash> entries_;
 };
 
 }  // namespace serve

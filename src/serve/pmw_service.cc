@@ -225,18 +225,19 @@ ServeStats PmwService::stats() const {
   return s;
 }
 
-std::shared_ptr<const Epoch> PmwService::PublishAndPrepare(
+std::shared_ptr<const core::HypothesisSnapshot> PmwService::PublishAndPrepare(
     std::span<const convex::CmQuery> queries, size_t begin, size_t end,
     ShardExecutor::PrepareResult* prepared) {
-  std::shared_ptr<const Epoch> epoch = epochs_.Publish(cm_);
+  std::shared_ptr<const core::HypothesisSnapshot> snapshot =
+      epochs_.Publish(cm_);
   m_.epochs->Add(1);
-  *prepared = executor_.PrepareRange(queries, begin, end, *epoch,
-                                     plan_cache_);
+  *prepared =
+      executor_.PrepareRange(queries, begin, end, *snapshot, plan_cache_);
   m_.prepare_cache_hits->Add(prepared->cache_hits);
   m_.cross_batch_cache_lookups->Add(prepared->cross_batch_lookups);
   m_.cross_batch_cache_hits->Add(prepared->cross_batch_hits);
   m_.plan_stale_dropped->Add(prepared->cross_batch_stale);
-  return epoch;
+  return snapshot;
 }
 
 std::vector<Result<convex::Vec>> PmwService::AnswerBatch(
@@ -270,13 +271,13 @@ std::vector<Result<convex::Vec>> PmwService::AnswerBatch(
   // guaranteed rejections and their plans would never be consulted.
   ShardExecutor::PrepareResult prepared;
   size_t prepared_begin = 0;
-  std::shared_ptr<const Epoch> epoch;
+  std::shared_ptr<const core::HypothesisSnapshot> snapshot;
   uint64_t batch_prepare_us = 0;
   if (n > 0 && !cm_.WillReject()) {
     size_t prep_end =
         std::min(n, static_cast<size_t>(cm_.queries_remaining()));
     WallTimer prepare_timer;
-    epoch = PublishAndPrepare(queries, 0, prep_end, &prepared);
+    snapshot = PublishAndPrepare(queries, 0, prep_end, &prepared);
     batch_prepare_us =
         static_cast<uint64_t>(prepare_timer.ElapsedSeconds() * 1e6);
   }
@@ -312,20 +313,20 @@ std::vector<Result<convex::Vec>> PmwService::AnswerBatch(
       continue;
     }
 
-    // A null epoch means the read phase was skipped; the stale default
-    // plan is never trusted by AnswerPrepared.
+    // A null snapshot means the read phase was skipped; the stale
+    // default plan is never trusted by AnswerPrepared.
     static const core::PreparedQuery kStalePlan;
     const size_t plan_slot =
-        epoch != nullptr ? prepared.plan_of[j - prepared_begin] : 0;
+        snapshot != nullptr ? prepared.plan_of[j - prepared_begin] : 0;
     const core::PreparedQuery& plan =
-        epoch != nullptr ? prepared.plans[plan_slot] : kStalePlan;
-    if (outcome != nullptr && epoch != nullptr) {
+        snapshot != nullptr ? prepared.plans[plan_slot] : kStalePlan;
+    if (outcome != nullptr && snapshot != nullptr) {
       outcome->cache_hit = prepared.plan_from_cache[plan_slot] != 0;
     }
     if (outcome != nullptr && shards > 1) router_.ResetWindow(shards);
     WallTimer commit_timer;
-    Result<core::PmwAnswer> answer = cm_.AnswerPrepared(
-        query, plan, epoch != nullptr ? epoch->snapshot.get() : nullptr);
+    Result<core::PmwAnswer> answer =
+        cm_.AnswerPrepared(query, plan, snapshot.get());
     if (outcome != nullptr) {
       outcome->commit_us =
           static_cast<uint64_t>(commit_timer.ElapsedSeconds() * 1e6);
@@ -360,7 +361,7 @@ std::vector<Result<convex::Vec>> PmwService::AnswerBatch(
         size_t prep_end = std::min(
             n, j + 1 + static_cast<size_t>(cm_.queries_remaining()));
         WallTimer prepare_timer;
-        epoch = PublishAndPrepare(queries, j + 1, prep_end, &prepared);
+        snapshot = PublishAndPrepare(queries, j + 1, prep_end, &prepared);
         batch_prepare_us +=
             static_cast<uint64_t>(prepare_timer.ElapsedSeconds() * 1e6);
         prepared_begin = j + 1;

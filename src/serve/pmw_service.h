@@ -21,10 +21,10 @@
 //     the same worker pool via serve::ShardRouter, with the cross-shard
 //     combines folded on the writer in fixed shard order. When a commit
 //     fires a hard round (MW update) the epoch advances: the writer
-//     publishes a new snapshot (with per-shard slice views) and
-//     re-prepares the batch's remaining suffix in parallel before
-//     continuing. Updates are bounded by the schedule's T, so re-prepares
-//     are rare and the amortization survives.
+//     publishes a new snapshot and re-prepares the batch's remaining
+//     suffix in parallel before continuing. Updates are bounded by the
+//     schedule's T, so re-prepares are rare and the amortization
+//     survives.
 //
 // Determinism: plans are pure functions of (query, snapshot) and every
 // stateful step is replayed in arrival order by one thread, so answers
@@ -122,8 +122,8 @@ struct ServeStats {
   long long prepare_cache_hits = 0;
   /// Error statuses returned to clients (halted / budget exhausted).
   long long errors = 0;
-  /// Epochs published (one per batch start + one per mid-batch update);
-  /// equals EpochState::epochs_published().
+  /// Epochs published (one per batch start + one per mid-batch update):
+  /// the pmw_serve_epochs_total counter.
   long long epochs = 0;
   /// Distinct plans recomputed in parallel after a mid-batch epoch
   /// advance (repeats of an already-recomputed query are cache hits).
@@ -133,8 +133,8 @@ struct ServeStats {
   /// prepare_cache_hits these survive between AnswerBatch calls.
   long long cross_batch_cache_lookups = 0;
   long long cross_batch_cache_hits = 0;
-  /// Cached plans dropped on probe because their content fingerprints
-  /// went stale.
+  /// Cached plans dropped on probe because they were prepared at an
+  /// older hypothesis version.
   long long plan_cache_stale_dropped = 0;
   /// Worker threads serving shards (1 = inline).
   int threads = 1;
@@ -252,17 +252,17 @@ class PmwService {
   const obs::Registry& registry() const { return *registry_; }
   /// Domain shards the hypothesis is partitioned into (after clamping).
   int num_shards() const { return cm_.num_shards(); }
-  /// The epoch holder (exposed for tests and future async front-ends).
+  /// The epoch holder (the stats RPC reads its current version).
   const EpochState& epochs() const { return epochs_; }
   /// The per-shard work router (exposed for tests).
   const ShardRouter& router() const { return router_; }
 
  private:
   /// Publishes a fresh epoch and prepares queries[begin, end) against it,
-  /// folding executor counters into the registry. Returns the epoch;
-  /// `*prepared` receives the deduplicated plans + position index for
-  /// the range.
-  std::shared_ptr<const Epoch> PublishAndPrepare(
+  /// folding executor counters into the registry. Returns the epoch's
+  /// snapshot; `*prepared` receives the deduplicated plans + position
+  /// index for the range.
+  std::shared_ptr<const core::HypothesisSnapshot> PublishAndPrepare(
       std::span<const convex::CmQuery> queries, size_t begin, size_t end,
       ShardExecutor::PrepareResult* prepared);
 

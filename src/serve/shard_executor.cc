@@ -17,19 +17,20 @@ ShardExecutor::ShardExecutor(ThreadPool* pool, const core::PmwCm* cm)
 void ShardExecutor::PrepareShard(std::span<const convex::CmQuery> queries,
                                  const std::vector<size_t>& positions,
                                  const std::vector<size_t>& slots, size_t lo,
-                                 size_t hi, const Epoch& epoch,
+                                 size_t hi,
+                                 const core::HypothesisSnapshot& snapshot,
                                  core::PreparedQuery* plans) const {
   for (size_t u = lo; u < hi; ++u) {
     const size_t slot = slots[u];
     // A stale cache probe left the entry's data_min in the slot.
-    plans[slot] = cm_->Prepare(queries[positions[slot]], *epoch.snapshot,
-                               &plans[slot]);
+    plans[slot] =
+        cm_->Prepare(queries[positions[slot]], snapshot, &plans[slot]);
   }
 }
 
 ShardExecutor::PrepareResult ShardExecutor::PrepareRange(
     std::span<const convex::CmQuery> queries, size_t begin, size_t end,
-    const Epoch& epoch, PlanCache* cache) const {
+    const core::HypothesisSnapshot& snapshot, PlanCache* cache) const {
   PMW_CHECK_LE(begin, end);
   PMW_CHECK_LE(end, queries.size());
   PrepareResult result;
@@ -60,19 +61,18 @@ ShardExecutor::PrepareResult ShardExecutor::PrepareRange(
 
   // Cross-batch cache probe, still on the calling thread: slots the cache
   // fills need no solver work at all; only the misses are sharded out. A
-  // cached plan at the epoch's version equals the recompute byte-for-byte
-  // (Prepare is deterministic), so the transcript cannot depend on hits.
+  // cached plan at the snapshot's version equals the recompute
+  // byte-for-byte (Prepare is deterministic), so the transcript cannot
+  // depend on hits.
   std::vector<size_t> miss_slots;
   miss_slots.reserve(distinct);
-  const PlanStamp stamp{epoch.snapshot->version, epoch.shard_fingerprint,
-                        epoch.content_fingerprint};
   if (cache != nullptr) {
     result.cross_batch_lookups = static_cast<long long>(distinct);
     for (size_t slot = 0; slot < distinct; ++slot) {
       const convex::CmQuery& query = queries[positions[slot]];
       QueryKey key{query.loss, query.domain};
       const PlanCache::Probe probe =
-          cache->Lookup(key, stamp, &result.plans[slot]);
+          cache->Lookup(key, snapshot.version, &result.plans[slot]);
       if (probe == PlanCache::Probe::kHit) {
         ++result.cross_batch_hits;
         result.plan_from_cache[slot] = 1;
@@ -98,8 +98,7 @@ ShardExecutor::PrepareResult ShardExecutor::PrepareRange(
   const size_t shards = std::min(max_shards, misses);
   core::PreparedQuery* plans = result.plans.data();
   if (shards <= 1) {
-    result.shards = 1;
-    PrepareShard(queries, positions, miss_slots, 0, misses, epoch, plans);
+    PrepareShard(queries, positions, miss_slots, 0, misses, snapshot, plans);
   } else {
     const size_t chunk = (misses + shards - 1) / shards;
     std::vector<std::future<void>> pending;
@@ -110,20 +109,19 @@ ShardExecutor::PrepareResult ShardExecutor::PrepareRange(
         const size_t hi = std::min(lo + chunk, misses);
         if (lo >= hi) break;
         pending.push_back(pool_->Submit(
-            [this, queries, &positions, &miss_slots, lo, hi, &epoch, plans] {
-              PrepareShard(queries, positions, miss_slots, lo, hi, epoch,
+            [this, queries, &positions, &miss_slots, lo, hi, &snapshot,
+             plans] {
+              PrepareShard(queries, positions, miss_slots, lo, hi, snapshot,
                            plans);
             }));
       }
     } catch (...) {
       // Submit threw (allocation / pool shutdown): in-flight shards still
-      // reference this frame's positions/epoch/plans — join them before
+      // reference this frame's positions/snapshot/plans — join them before
       // unwinding.
       for (std::future<void>& f : pending) f.wait();
       throw;
     }
-    // Ceil-division chunking can finish early, so count what actually ran.
-    result.shards = static_cast<int>(pending.size());
     // Join every shard unconditionally before get() may rethrow a task
     // exception: unwinding with shards in flight would free the buffers
     // they write.
@@ -137,8 +135,7 @@ ShardExecutor::PrepareResult ShardExecutor::PrepareRange(
     for (size_t u = 0; u < misses; ++u) {
       const size_t slot = miss_slots[u];
       const convex::CmQuery& query = queries[positions[slot]];
-      cache->Insert(QueryKey{query.loss, query.domain}, stamp,
-                    result.plans[slot]);
+      cache->Insert(QueryKey{query.loss, query.domain}, result.plans[slot]);
     }
   }
   return result;

@@ -29,7 +29,6 @@
 #include "common/thread_pool.h"
 #include "convex/cm_query.h"
 #include "core/pmw_cm.h"
-#include "serve/epoch_state.h"
 #include "serve/plan_cache.h"
 
 namespace pmw {
@@ -65,18 +64,17 @@ class ShardExecutor {
     /// Distinct queries whose cached plan was dropped as stale on probe
     /// (counted among the misses, then recomputed).
     long long cross_batch_stale = 0;
-    /// Shards actually dispatched for this range.
-    int shards = 0;
   };
 
-  /// Prepares queries[begin, end) against `epoch`'s snapshot, fanning the
+  /// Prepares queries[begin, end) against `snapshot`, fanning the
   /// distinct queries out across the pool. Blocks until every shard
   /// finishes. A non-null `cache` is probed per distinct query before any
   /// solver runs (hits skip computation entirely; a stale entry lends its
   /// data_min, so the recompute solves only the hypothesis side) and fed
   /// every fresh plan after the shards join — both on the calling thread.
   PrepareResult PrepareRange(std::span<const convex::CmQuery> queries,
-                             size_t begin, size_t end, const Epoch& epoch,
+                             size_t begin, size_t end,
+                             const core::HypothesisSnapshot& snapshot,
                              PlanCache* cache = nullptr) const;
 
  private:
@@ -84,11 +82,12 @@ class ShardExecutor {
   /// slots[lo, hi): plans[slots[u]] receives the plan for
   /// queries[positions[slots[u]]], passing the slot's current contents
   /// as Prepare's `earlier`. Runs on a worker (or inline). Reads only
-  /// const state: the mechanism's Prepare path and the epoch snapshot.
+  /// const state: the mechanism's Prepare path and the snapshot.
   void PrepareShard(std::span<const convex::CmQuery> queries,
                     const std::vector<size_t>& positions,
                     const std::vector<size_t>& slots, size_t lo, size_t hi,
-                    const Epoch& epoch, core::PreparedQuery* plans) const;
+                    const core::HypothesisSnapshot& snapshot,
+                    core::PreparedQuery* plans) const;
 
   ThreadPool* pool_;
   const core::PmwCm* cm_;

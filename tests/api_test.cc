@@ -25,6 +25,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <map>
 #include <mutex>
@@ -213,18 +214,7 @@ TEST_F(ApiTest, ProtocolRejectionsAreTypedAndFree) {
   ASSERT_FALSE(unknown.ok());
   EXPECT_EQ(unknown.error, ErrorCode::kUnknownQuery);
 
-  // Foreign protocol version: rejected before the catalog lookup.
-  QueryRequest alien;
-  alien.version = 99;
-  alien.analyst_id = "bounded";
-  alien.request_id = 1234;
-  alien.query_name = names_[0];
-  AnswerEnvelope mismatched = endpoint.HandleSync(alien);
-  ASSERT_FALSE(mismatched.ok());
-  EXPECT_EQ(mismatched.error, ErrorCode::kVersionMismatch);
-  EXPECT_EQ(mismatched.request_id, 1234u);
-
-  // None of the three rejections touched the mechanism.
+  // Neither rejection touched the mechanism.
   EXPECT_EQ(endpoint.service().mechanism().ledger().event_count(), events);
   EXPECT_EQ(endpoint.service().mechanism().queries_answered(), answered);
   EXPECT_EQ(endpoint.quota().admitted("bounded"), 2);
@@ -313,15 +303,6 @@ TEST_F(ApiTest, StatsRpcExposesReportAndBudgetView) {
   // Stats polls are free: no ledger event, no k-query slot.
   EXPECT_EQ(endpoint.service().mechanism().ledger().event_count(), events);
   EXPECT_EQ(endpoint.service().mechanism().queries_answered(), answered);
-
-  // Version gate applies to stats frames too.
-  StatsRequest alien;
-  alien.version = 77;
-  alien.request_id = 5;
-  AnswerEnvelope mismatched = endpoint.HandleStats(alien);
-  ASSERT_FALSE(mismatched.ok());
-  EXPECT_EQ(mismatched.error, ErrorCode::kVersionMismatch);
-  EXPECT_EQ(mismatched.request_id, 5u);
   endpoint.Shutdown();
 }
 
@@ -591,12 +572,6 @@ TEST_F(ApiTest, MetricsRpcExposesTheRegistryInBothFormats) {
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.error, ErrorCode::kMalformedRequest);
   EXPECT_EQ(rejected.request_id, 7u);
-  MetricsRequest alien;
-  alien.version = 77;
-  alien.request_id = 8;
-  AnswerEnvelope mismatched = endpoint.HandleMetrics(alien);
-  ASSERT_FALSE(mismatched.ok());
-  EXPECT_EQ(mismatched.error, ErrorCode::kVersionMismatch);
   endpoint.Shutdown();
 }
 
@@ -627,14 +602,89 @@ TEST_F(ApiTest, TraceRpcRendersSpanTrees) {
   ASSERT_TRUE(empty.ok());
   EXPECT_NE(empty.message.find("(no traces over threshold)"),
             std::string::npos);
+  endpoint.Shutdown();
+}
 
-  // Version gate applies to trace frames too.
-  TraceRequest alien;
-  alien.version = 77;
-  alien.request_id = 9;
-  AnswerEnvelope mismatched = endpoint.HandleTrace(alien);
-  ASSERT_FALSE(mismatched.ok());
-  EXPECT_EQ(mismatched.error, ErrorCode::kVersionMismatch);
+TEST_F(ApiTest, EveryHandlerRejectsForeignVersionsAlike) {
+  // One version gate guards the whole front door: a version below or
+  // above what the endpoint speaks gets a typed kVersionMismatch with the
+  // request id echoed from every handler — query, stats, metrics, trace
+  // and hello alike — and never reaches the mechanism. The gate runs
+  // before auth, so a token-guarded endpoint rejects the same way.
+  erm::NoisyGradientOracle oracle;
+  ServerOptions options = DefaultServerOptions();
+  options.auth_token = "secret";
+  ServerEndpoint endpoint(dataset_.get(), &oracle, &catalog_, options, 45);
+
+  struct Handler {
+    const char* name;
+    std::function<AnswerEnvelope(uint8_t version, uint64_t request_id)> call;
+  };
+  const std::vector<Handler> handlers = {
+      {"query",
+       [&](uint8_t version, uint64_t request_id) {
+         QueryRequest request;
+         request.version = version;
+         request.analyst_id = "alien";
+         request.request_id = request_id;
+         request.query_name = names_[0];
+         return endpoint.HandleSync(request);
+       }},
+      {"stats",
+       [&](uint8_t version, uint64_t request_id) {
+         StatsRequest request;
+         request.version = version;
+         request.request_id = request_id;
+         return endpoint.HandleStats(request);
+       }},
+      {"metrics",
+       [&](uint8_t version, uint64_t request_id) {
+         MetricsRequest request;
+         request.version = version;
+         request.request_id = request_id;
+         return endpoint.HandleMetrics(request);
+       }},
+      {"trace",
+       [&](uint8_t version, uint64_t request_id) {
+         TraceRequest request;
+         request.version = version;
+         request.request_id = request_id;
+         return endpoint.HandleTrace(request);
+       }},
+      {"hello",
+       [&](uint8_t version, uint64_t request_id) {
+         HelloRequest request;
+         request.version = version;
+         request.analyst_id = "alien";
+         request.auth_token = "secret";
+         request.request_id = request_id;
+         return endpoint.HandleHello(request);
+       }},
+  };
+
+  uint64_t request_id = 100;
+  for (const Handler& handler : handlers) {
+    for (const uint8_t version :
+         {uint8_t{0}, static_cast<uint8_t>(kProtocolVersion + 1)}) {
+      ++request_id;
+      const AnswerEnvelope reply = handler.call(version, request_id);
+      const std::string context = std::string(handler.name) +
+                                  " version=" + std::to_string(version);
+      ASSERT_FALSE(reply.ok()) << context;
+      EXPECT_EQ(reply.error, ErrorCode::kVersionMismatch) << context;
+      EXPECT_EQ(reply.request_id, request_id) << context;
+      EXPECT_NE(reply.message.find("protocol version"), std::string::npos)
+          << context;
+    }
+    // The same handler accepts the version it speaks (hello with the
+    // right token; the others need no hello at this layer).
+    const AnswerEnvelope accepted = handler.call(kProtocolVersion, 1);
+    EXPECT_NE(accepted.error, ErrorCode::kVersionMismatch) << handler.name;
+  }
+
+  // Rejections cost nothing; only the one accepted query reached the
+  // mechanism.
+  EXPECT_EQ(endpoint.service().mechanism().queries_answered(), 1);
   endpoint.Shutdown();
 }
 

@@ -1,7 +1,9 @@
-// Edge-case coverage for serve/epoch_state: degenerate (empty-support)
-// snapshots flowing through the prepare path, epoch monotonicity across
-// mid-batch updates, and the RCU property that a held epoch survives —
-// immutable — while the writer publishes past it.
+// Edge-case coverage for serve/epoch_state: snapshot reuse at an
+// unchanged version, degenerate (empty-support) snapshots flowing through
+// the prepare path, epoch monotonicity across mid-batch updates, published
+// snapshots equal to fresh ones at their version, and the RCU property
+// that a held epoch survives — immutable — while the writer publishes
+// past it.
 
 #include "serve/epoch_state.h"
 
@@ -56,25 +58,22 @@ class EpochStateTest : public ::testing::Test {
 TEST_F(EpochStateTest, CurrentIsNullBeforeFirstPublish) {
   EpochState epochs;
   EXPECT_EQ(epochs.Current(), nullptr);
-  EXPECT_EQ(epochs.epochs_published(), 0);
 }
 
-TEST_F(EpochStateTest, RepublishWithoutUpdateAdvancesSequenceNotVersion) {
+TEST_F(EpochStateTest, RepublishWithoutUpdateReusesTheSnapshot) {
   erm::NonPrivateOracle oracle;
   core::PmwCm cm(dataset_.get(), &oracle, PracticalOptions(), 1);
   EpochState epochs;
 
-  std::shared_ptr<const Epoch> first = epochs.Publish(cm);
-  std::shared_ptr<const Epoch> second = epochs.Publish(cm);
-  // A batch republishes at its start without the hypothesis moving: the
-  // sequence orders publishes, the version keys plan freshness.
-  EXPECT_EQ(first->snapshot->version, second->snapshot->version);
-  // The republish reuses the previous snapshot buffer outright (same
-  // version + shard set => identical compaction), so the common
-  // soft-round path pays O(shards), not an O(|X|) compaction pass.
-  EXPECT_EQ(first->snapshot, second->snapshot);
-  EXPECT_LT(first->sequence, second->sequence);
-  EXPECT_EQ(epochs.epochs_published(), 2);
+  std::shared_ptr<const core::HypothesisSnapshot> first = epochs.Publish(cm);
+  std::shared_ptr<const core::HypothesisSnapshot> second =
+      epochs.Publish(cm);
+  // A batch republishes at its start without the hypothesis moving. The
+  // version is unchanged, so the previous snapshot buffer is reused
+  // outright and the common soft-round path skips an O(|X|) compaction
+  // pass.
+  EXPECT_EQ(first->version, cm.hypothesis_version());
+  EXPECT_EQ(first, second);
   EXPECT_EQ(epochs.Current(), second);
 }
 
@@ -86,12 +85,9 @@ TEST_F(EpochStateTest, EmptySupportSnapshotFlowsThroughPrepare) {
   erm::NonPrivateOracle oracle;
   core::PmwCm cm(dataset_.get(), &oracle, PracticalOptions(), 2);
 
-  Epoch degenerate;
-  auto snapshot = std::make_shared<core::HypothesisSnapshot>();
-  snapshot->support = {};  // empty: every mass entry compacted away
-  snapshot->version = cm.hypothesis_version();
-  degenerate.snapshot = std::move(snapshot);
-  degenerate.sequence = 0;
+  core::HypothesisSnapshot degenerate;
+  degenerate.support = {};  // empty: every mass entry compacted away
+  degenerate.version = cm.hypothesis_version();
 
   ShardExecutor executor(nullptr, &cm);
   ShardExecutor::PrepareResult prepared =
@@ -112,9 +108,8 @@ TEST_F(EpochStateTest, EmptySupportSnapshotFlowsThroughPrepare) {
 
 TEST_F(EpochStateTest, EpochsAdvanceMonotonicallyAcrossMidBatchUpdates) {
   // Randomized oracle + non-uniform data: hard rounds fire mid-batch,
-  // each one publishing a fresh epoch. Versions and sequences must be
-  // non-decreasing / strictly increasing respectively, and the final
-  // epoch must match the live mechanism.
+  // each one publishing a fresh epoch. Versions must be non-decreasing,
+  // and the final epoch must match the live mechanism.
   erm::NoisyGradientOracle oracle;
   ServeOptions serve_options;
   serve_options.num_threads = 2;
@@ -126,19 +121,17 @@ TEST_F(EpochStateTest, EpochsAdvanceMonotonicallyAcrossMidBatchUpdates) {
     workload.push_back(queries_[static_cast<size_t>(j) % queries_.size()]);
   }
 
-  long long last_sequence = -1;
   int last_version = -1;
   for (size_t start = 0; start < workload.size(); start += 12) {
     std::vector<convex::CmQuery> batch(
         workload.begin() + static_cast<long>(start),
         workload.begin() + static_cast<long>(start + 12));
     service.AnswerBatch(batch);
-    std::shared_ptr<const Epoch> current = service.epochs().Current();
+    std::shared_ptr<const core::HypothesisSnapshot> current =
+        service.epochs().Current();
     ASSERT_NE(current, nullptr);
-    EXPECT_GT(current->sequence, last_sequence);
-    EXPECT_GE(current->snapshot->version, last_version);
-    last_sequence = current->sequence;
-    last_version = current->snapshot->version;
+    EXPECT_GE(current->version, last_version);
+    last_version = current->version;
   }
 
   EXPECT_GT(service.mechanism().update_count(), 0);
@@ -147,76 +140,51 @@ TEST_F(EpochStateTest, EpochsAdvanceMonotonicallyAcrossMidBatchUpdates) {
   // on a batch's last query has no suffix to re-prepare), so publishes
   // dominate both counters.
   const ServeStats stats = service.stats();
-  EXPECT_GE(service.epochs().epochs_published(), stats.batches);
-  EXPECT_GE(service.epochs().epochs_published(), stats.updates);
-  EXPECT_EQ(stats.epochs, service.epochs().epochs_published());
+  EXPECT_GE(stats.epochs, stats.batches);
+  EXPECT_GE(stats.epochs, stats.updates);
 }
 
-TEST_F(EpochStateTest, PerShardSnapshotsTileTheSupportAndStayMonotonic) {
-  // Sharded serving: every published epoch carries one zero-copy slice
-  // view per domain shard. Across mid-batch updates the slices must (a)
-  // always tile snapshot.support exactly — no entry dropped, duplicated,
-  // or out of place — (b) carry a stable shard fingerprint, and (c)
-  // advance monotonically with the epoch (version non-decreasing,
-  // per-shard [lo, hi) ranges fixed for the service's lifetime).
-  erm::NoisyGradientOracle oracle;
-  ServeOptions serve_options;
-  serve_options.num_threads = 2;
-  serve_options.num_shards = 4;
-  PmwService service(dataset_.get(), &oracle, PracticalOptions(), 21,
-                     serve_options);
-  ASSERT_EQ(service.num_shards(), 4);
+TEST_F(EpochStateTest, PublishedSnapshotsEqualAFreshSnapshotAtTheirVersion) {
+  // Snapshot reuse is keyed on the version alone, so a published
+  // snapshot — reused or fresh — must hold exactly the bytes a fresh
+  // compaction of the live hypothesis would at that version, at every
+  // shard count and backend.
+  for (const int shards : {1, 4}) {
+    for (const core::HypothesisBackend backend :
+         {core::HypothesisBackend::kDense,
+          core::HypothesisBackend::kSparse}) {
+      erm::NoisyGradientOracle oracle;
+      ServeOptions serve_options;
+      serve_options.num_threads = 2;
+      serve_options.num_shards = shards;
+      serve_options.hypothesis_backend = backend;
+      PmwService service(dataset_.get(), &oracle, PracticalOptions(), 21,
+                         serve_options);
 
-  std::vector<convex::CmQuery> workload;
-  for (int j = 0; j < 48; ++j) {
-    workload.push_back(queries_[static_cast<size_t>(j) % queries_.size()]);
-  }
-
-  const uint64_t fingerprint = service.mechanism().shard_fingerprint();
-  std::vector<std::pair<int, int>> ranges;
-  long long last_sequence = -1;
-  int last_version = -1;
-  for (size_t start = 0; start < workload.size(); start += 12) {
-    std::vector<convex::CmQuery> batch(
-        workload.begin() + static_cast<long>(start),
-        workload.begin() + static_cast<long>(start + 12));
-    service.AnswerBatch(batch);
-    std::shared_ptr<const Epoch> epoch = service.epochs().Current();
-    ASSERT_NE(epoch, nullptr);
-    EXPECT_GT(epoch->sequence, last_sequence);
-    EXPECT_GE(epoch->snapshot->version, last_version);
-    last_sequence = epoch->sequence;
-    last_version = epoch->snapshot->version;
-
-    EXPECT_EQ(epoch->shard_fingerprint, fingerprint);
-    ASSERT_EQ(epoch->shards.size(), 4u);
-    // The shard ranges are the partition — fixed across epochs.
-    if (ranges.empty()) {
-      for (const Epoch::ShardSlice& slice : epoch->shards) {
-        ranges.emplace_back(slice.lo, slice.hi);
+      int compared = 0;
+      for (int round = 0; round < 8; ++round) {
+        service.AnswerBatch(queries_);
+        const std::shared_ptr<const core::HypothesisSnapshot> published =
+            service.epochs().Current();
+        ASSERT_NE(published, nullptr);
+        // A hard round on a batch's last query moves the version without
+        // a republish; compare only epochs at the live version.
+        if (published->version != service.mechanism().hypothesis_version()) {
+          continue;
+        }
+        const core::HypothesisSnapshot fresh =
+            service.mechanism().SnapshotHypothesis();
+        ASSERT_EQ(published->support.size(), fresh.support.size());
+        for (size_t i = 0; i < fresh.support.size(); ++i) {
+          EXPECT_EQ(published->support[i].first, fresh.support[i].first);
+          EXPECT_EQ(published->support[i].second, fresh.support[i].second);
+        }
+        ++compared;
       }
-      EXPECT_EQ(ranges.front().first, 0);
-      EXPECT_EQ(ranges.back().second, universe_.size());
+      EXPECT_GT(service.mechanism().update_count(), 0);
+      EXPECT_GT(compared, 0);
     }
-    size_t position = 0;
-    for (size_t s = 0; s < epoch->shards.size(); ++s) {
-      const Epoch::ShardSlice& slice = epoch->shards[s];
-      EXPECT_EQ(slice.lo, ranges[s].first);
-      EXPECT_EQ(slice.hi, ranges[s].second);
-      for (const auto& entry : slice.support) {
-        // Tiling: slice entries are exactly the support's, in order,
-        // and every index lies inside the slice's own range.
-        ASSERT_LT(position, epoch->snapshot->support.size());
-        EXPECT_EQ(entry.first, epoch->snapshot->support[position].first);
-        EXPECT_EQ(entry.second, epoch->snapshot->support[position].second);
-        EXPECT_GE(entry.first, slice.lo);
-        EXPECT_LT(entry.first, slice.hi);
-        ++position;
-      }
-    }
-    EXPECT_EQ(position, epoch->snapshot->support.size());
   }
-  EXPECT_GT(service.mechanism().update_count(), 0);
 }
 
 TEST_F(EpochStateTest, HeldEpochSurvivesLaterPublishesUnchanged) {
@@ -224,23 +192,24 @@ TEST_F(EpochStateTest, HeldEpochSurvivesLaterPublishesUnchanged) {
   PmwService service(dataset_.get(), &oracle, PracticalOptions(), 7);
 
   service.AnswerBatch({&queries_[0], 1});
-  std::shared_ptr<const Epoch> held = service.epochs().Current();
+  std::shared_ptr<const core::HypothesisSnapshot> held =
+      service.epochs().Current();
   ASSERT_NE(held, nullptr);
-  const long long held_sequence = held->sequence;
-  const int held_version = held->snapshot->version;
-  const size_t held_support = held->snapshot->support.size();
+  const int held_version = held->version;
+  const data::HistogramSupport held_support = held->support;
 
-  // Drive more traffic (likely including updates); the held epoch is an
+  // Drive traffic that moves the hypothesis; the held epoch is an
   // immutable snapshot — the classic RCU grace-period guarantee.
   for (int round = 0; round < 4; ++round) {
     service.AnswerBatch(queries_);
   }
-  std::shared_ptr<const Epoch> current = service.epochs().Current();
+  ASSERT_GT(service.mechanism().hypothesis_version(), held_version);
+  std::shared_ptr<const core::HypothesisSnapshot> current =
+      service.epochs().Current();
   ASSERT_NE(current, nullptr);
-  EXPECT_GT(current->sequence, held_sequence);
-  EXPECT_EQ(held->sequence, held_sequence);
-  EXPECT_EQ(held->snapshot->version, held_version);
-  EXPECT_EQ(held->snapshot->support.size(), held_support);
+  EXPECT_NE(current, held);
+  EXPECT_EQ(held->version, held_version);
+  EXPECT_EQ(held->support, held_support);
 }
 
 }  // namespace

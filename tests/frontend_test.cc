@@ -11,10 +11,10 @@
 //   (b) Quota rejections are free. A front-door rejection never reaches
 //       the mechanism: the ledger (event count and totals) is unchanged
 //       and no k-query slot is consumed.
-//   (c) The content-fingerprint-keyed PlanCache actually amortizes
-//       across batches (hit-rate > 0 on a repeated-query workload),
-//       serves content hits across hypothesis versions with the version
-//       restamped, and lazily drops plans whose fingerprints went stale.
+//   (c) The version-keyed PlanCache actually amortizes across batches
+//       (hit-rate > 0 on a repeated-query workload), serves a plan only
+//       at the hypothesis version it was prepared at, and lazily drops
+//       plans from any other version.
 //   (d) The cache in isolation: a full cache refuses new keys while
 //       residents keep hitting and stale drops free room; a stale probe
 //       lends the entry's data_min (min l_D) and nothing else.
@@ -63,7 +63,7 @@ core::PmwOptions PracticalOptions() {
 
 /// Shared scenario: a logistic-model dataset and a pool of reusable
 /// Lipschitz queries (the pool objects give pointer-identity query
-/// fingerprints, as in production where families own the losses).
+/// keys, as in production where families own the losses).
 class FrontendTest : public ::testing::Test {
  protected:
   FrontendTest() : universe_(3), family_(3) {
@@ -338,45 +338,31 @@ TEST_F(FrontendTest, PlanCacheHitsAcrossBatchesAndDropsStalePlans) {
   EXPECT_EQ(stats.CrossBatchHitRate(), 0.5);
   EXPECT_EQ(stats.plan_cache_stale_dropped, 0);
   EXPECT_EQ(cache.size(), 4u);
-  const serve::Epoch& epoch = *service.epochs().Current();
-  const serve::PlanStamp stamp{epoch.snapshot->version,
-                               epoch.shard_fingerprint,
-                               epoch.content_fingerprint};
-  EXPECT_EQ(stamp.version, service.mechanism().hypothesis_version());
-  EXPECT_EQ(stamp.shard_set, service.mechanism().shard_fingerprint());
+  const int version = service.mechanism().hypothesis_version();
+  EXPECT_EQ(service.epochs().Current()->version, version);
 
-  // Cross-version content hit: a republish under a NEW version whose
-  // content fingerprints are unchanged serves the cached plan, restamped
-  // to the probing version (the one field Prepare derives from the
-  // version rather than the support bytes).
-  serve::PlanStamp republished = stamp;
-  republished.version = stamp.version + 1;
+  // A probe at the version a plan was prepared at hits, and the plan
+  // carries that version.
   core::PreparedQuery plan;
   ASSERT_EQ(cache.Lookup(serve::QueryKey{batch[0].loss, batch[0].domain},
-                         republished, &plan),
+                         version, &plan),
             serve::PlanCache::Probe::kHit);
-  EXPECT_EQ(plan.hypothesis_version, republished.version);
+  EXPECT_EQ(plan.hypothesis_version, version);
 
-  // Forced staleness: the content fingerprint moved on, so the probe
-  // drops the entry lazily — it can never be valid again.
-  serve::PlanStamp moved = stamp;
-  moved.content = stamp.content + 1;
+  // Forced staleness: a probe at any other version drops the entry
+  // lazily — the hypothesis never returns to an old version.
   EXPECT_EQ(cache.Lookup(serve::QueryKey{batch[0].loss, batch[0].domain},
-                         moved, &plan),
+                         version + 1, &plan),
             serve::PlanCache::Probe::kStale);
   EXPECT_EQ(cache.size(), 3u);
   // Dropped, so the next probe is a plain miss.
   EXPECT_EQ(cache.Lookup(serve::QueryKey{batch[0].loss, batch[0].domain},
-                         moved, &plan),
+                         version + 1, &plan),
             serve::PlanCache::Probe::kMiss);
-
-  // A repartition (new shard set at the same content) invalidates the
-  // same way: plans are only served into the exact (shard_set, content)
-  // they were computed under.
-  serve::PlanStamp repartitioned = stamp;
-  repartitioned.shard_set = stamp.shard_set + 1;
+  // Older versions are stale too: plans are served only at the exact
+  // version they were prepared at.
   EXPECT_EQ(cache.Lookup(serve::QueryKey{batch[1].loss, batch[1].domain},
-                         repartitioned, &plan),
+                         version - 1, &plan),
             serve::PlanCache::Probe::kStale);
   EXPECT_EQ(cache.size(), 2u);
 
@@ -390,7 +376,7 @@ TEST_F(FrontendTest, PlanCacheHitsAcrossBatchesAndDropsStalePlans) {
 
 TEST_F(FrontendTest, PlanCacheStaysCoherentThroughHardRounds) {
   // Non-uniform data with a randomized oracle: MW updates fire, each one
-  // changes the content fingerprints, so re-probed plans from older
+  // advances the hypothesis version, so re-probed plans from older
   // epochs must be dropped as stale. Correctness is already covered by
   // the transcript test (the cache was attached there); this checks the
   // bookkeeping end to end.
@@ -413,8 +399,8 @@ TEST_F(FrontendTest, PlanCacheStaysCoherentThroughHardRounds) {
   }
 
   EXPECT_GT(service.mechanism().update_count(), 0);
-  // Repeats amortized across batches; hard rounds moved the content
-  // fingerprints, so re-probed old plans were dropped as stale.
+  // Repeats amortized across batches; hard rounds moved the version, so
+  // re-probed old plans were dropped as stale.
   const serve::ServeStats stats = service.stats();
   EXPECT_GT(stats.cross_batch_cache_hits, 0);
   EXPECT_GT(stats.CrossBatchHitRate(), 0.0);
@@ -425,50 +411,48 @@ TEST(PlanCacheTest, FullCacheRefusesNewKeysButKeepsServingResidents) {
   constexpr size_t kMax = serve::PlanCache::kMaxEntries;
   std::vector<int> keys(kMax + 2);
   auto key = [&](size_t i) { return serve::QueryKey{&keys[i], &keys[i]}; };
-  const serve::PlanStamp stamp{1, 7, 99};
   core::PreparedQuery plan;
-  plan.hypothesis_version = stamp.version;
+  plan.hypothesis_version = 1;
 
   serve::PlanCache cache;
-  for (size_t i = 0; i < kMax; ++i) cache.Insert(key(i), stamp, plan);
+  for (size_t i = 0; i < kMax; ++i) cache.Insert(key(i), plan);
   ASSERT_EQ(cache.size(), kMax);
 
   // (a) A new key is refused at the cap and still misses.
   core::PreparedQuery out;
-  cache.Insert(key(kMax), stamp, plan);
+  cache.Insert(key(kMax), plan);
   EXPECT_EQ(cache.size(), kMax);
-  EXPECT_EQ(cache.Lookup(key(kMax), stamp, &out),
-            serve::PlanCache::Probe::kMiss);
+  EXPECT_EQ(cache.Lookup(key(kMax), 1, &out), serve::PlanCache::Probe::kMiss);
 
   // (b) Residents keep hitting, and refreshing one goes through at the
   // cap.
-  EXPECT_EQ(cache.Lookup(key(0), stamp, &out), serve::PlanCache::Probe::kHit);
-  EXPECT_EQ(cache.Lookup(key(kMax - 1), stamp, &out),
+  EXPECT_EQ(cache.Lookup(key(0), 1, &out), serve::PlanCache::Probe::kHit);
+  EXPECT_EQ(cache.Lookup(key(kMax - 1), 1, &out),
             serve::PlanCache::Probe::kHit);
-  const serve::PlanStamp next{2, 7, 100};
-  cache.Insert(key(1), next, plan);
-  EXPECT_EQ(cache.Lookup(key(1), next, &out), serve::PlanCache::Probe::kHit);
+  core::PreparedQuery next = plan;
+  next.hypothesis_version = 2;
+  cache.Insert(key(1), next);
+  EXPECT_EQ(cache.Lookup(key(1), 2, &out), serve::PlanCache::Probe::kHit);
   EXPECT_EQ(cache.size(), kMax);
 
-  // (c) A resident whose stamp went stale is dropped on probe, and the
-  // freed room admits a newcomer.
-  EXPECT_EQ(cache.Lookup(key(2), next, &out), serve::PlanCache::Probe::kStale);
+  // (c) A resident prepared at an older version is dropped on probe, and
+  // the freed room admits a newcomer.
+  EXPECT_EQ(cache.Lookup(key(2), 2, &out), serve::PlanCache::Probe::kStale);
   EXPECT_EQ(cache.size(), kMax - 1);
-  cache.Insert(key(kMax + 1), next, plan);
+  cache.Insert(key(kMax + 1), next);
   EXPECT_EQ(cache.size(), kMax);
-  EXPECT_EQ(cache.Lookup(key(kMax + 1), next, &out),
+  EXPECT_EQ(cache.Lookup(key(kMax + 1), 2, &out),
             serve::PlanCache::Probe::kHit);
 }
 
 TEST(PlanCacheTest, StaleProbeLendsOnlyTheDataMin) {
   int query = 0;
   const serve::QueryKey key{&query, &query};
-  const serve::PlanStamp stamp{1, 7, 99};
   core::PreparedQuery cached;
   cached.theta_hat = {0.25, -0.5};
   cached.query_value = 0.125;
   cached.data_min = 0.375;
-  cached.hypothesis_version = stamp.version;
+  cached.hypothesis_version = 1;
   const auto expect_no_hypothesis_side = [](const core::PreparedQuery& p) {
     EXPECT_TRUE(p.theta_hat.empty());
     EXPECT_EQ(p.query_value, 0.0);
@@ -479,15 +463,14 @@ TEST(PlanCacheTest, StaleProbeLendsOnlyTheDataMin) {
   // re-prepare solves min l_D itself.
   serve::PlanCache cache;
   core::PreparedQuery out;
-  EXPECT_EQ(cache.Lookup(key, stamp, &out), serve::PlanCache::Probe::kMiss);
+  EXPECT_EQ(cache.Lookup(key, 1, &out), serve::PlanCache::Probe::kMiss);
   expect_no_hypothesis_side(out);
   EXPECT_TRUE(std::isnan(out.data_min));
 
   // A stale entry hands back its data_min and nothing of the hypothesis
   // side, then is dropped.
-  cache.Insert(key, stamp, cached);
-  const serve::PlanStamp moved{2, 7, 100};
-  EXPECT_EQ(cache.Lookup(key, moved, &out), serve::PlanCache::Probe::kStale);
+  cache.Insert(key, cached);
+  EXPECT_EQ(cache.Lookup(key, 2, &out), serve::PlanCache::Probe::kStale);
   expect_no_hypothesis_side(out);
   EXPECT_EQ(out.data_min, cached.data_min);
   EXPECT_EQ(cache.size(), 0u);

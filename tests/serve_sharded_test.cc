@@ -9,9 +9,9 @@
 // privacy ledger (event labels, parameters, commit order) — is
 // bit-identical to running sequential PmwCm under the same seed. These
 // tests check that property-style over random datasets, shards {1, 2, 4}
-// x threads {1, 4} x batch sizes, with the randomized private oracle in
-// the loop; the TSan CI job rebuilds this binary to keep the data-race
-// side of the argument honest.
+// x threads {1, 4} x batch sizes x cross-batch plan cache off/on, with
+// the randomized private oracle in the loop; the TSan CI job rebuilds
+// this binary to keep the data-race side of the argument honest.
 
 #include <atomic>
 #include <cstddef>
@@ -41,6 +41,9 @@ struct Transcript {
   int update_count = 0;
   long long queries_answered = 0;
   bool halted = false;
+  /// Cross-batch plan-cache traffic (RunSharded with a cache only).
+  long long plan_cache_hits = 0;
+  long long plan_cache_stale = 0;
 };
 
 /// The sequential ground truth: plain PmwCm (single shard, no pool),
@@ -67,16 +70,21 @@ Transcript RunSequential(const data::Dataset& dataset,
 }
 
 /// The system under test: sharded service at (num_shards, num_threads),
-/// feeding the workload through in batches of `batch_size`.
+/// feeding the workload through in batches of `batch_size`, with a
+/// cross-batch PlanCache attached when `with_cache`.
 Transcript RunSharded(const data::Dataset& dataset,
                       const core::PmwOptions& options, uint64_t seed,
                       const std::vector<convex::CmQuery>& workload,
-                      int num_shards, int num_threads, size_t batch_size) {
+                      int num_shards, int num_threads, size_t batch_size,
+                      bool with_cache = false) {
   erm::NoisyGradientOracle oracle;
   ServeOptions serve_options;
   serve_options.num_threads = num_threads;
   serve_options.num_shards = num_shards;
+  // Declared before the service, which holds a pointer to it.
+  PlanCache cache;
   PmwService service(&dataset, &oracle, options, seed, serve_options);
+  if (with_cache) service.set_plan_cache(&cache);
   EXPECT_EQ(service.num_shards(), num_shards)
       << "power-of-two shard counts within the universe must stick";
   Transcript t;
@@ -91,6 +99,8 @@ Transcript RunSharded(const data::Dataset& dataset,
   t.update_count = service.mechanism().update_count();
   t.queries_answered = service.mechanism().queries_answered();
   t.halted = service.mechanism().halted();
+  t.plan_cache_hits = service.stats().cross_batch_cache_hits;
+  t.plan_cache_stale = service.stats().plan_cache_stale_dropped;
   return t;
 }
 
@@ -224,19 +234,29 @@ TEST_P(ServeShardedPropertyTest, TranscriptMatchesSequentialEverywhere) {
   // The workload must actually exercise the sharded MW-update path.
   EXPECT_GT(want.update_count, 0) << "scenario never fired an update";
 
+  long long cache_hits = 0;
+  long long cache_stale = 0;
   for (int shards : {1, 2, 4}) {
     for (int threads : {1, 4}) {
       for (size_t batch : {size_t{1}, size_t{7}, size_t{32}}) {
-        Transcript got =
-            RunSharded(*dataset_, PracticalOptions(), seed, workload_,
-                       shards, threads, batch);
-        ExpectIdentical(got, want,
-                        "shards=" + std::to_string(shards) +
-                            " threads=" + std::to_string(threads) +
-                            " batch=" + std::to_string(batch));
+        for (bool with_cache : {false, true}) {
+          Transcript got =
+              RunSharded(*dataset_, PracticalOptions(), seed, workload_,
+                         shards, threads, batch, with_cache);
+          ExpectIdentical(got, want,
+                          "shards=" + std::to_string(shards) +
+                              " threads=" + std::to_string(threads) +
+                              " batch=" + std::to_string(batch) +
+                              " cache=" + (with_cache ? "on" : "off"));
+          cache_hits += got.plan_cache_hits;
+          cache_stale += got.plan_cache_stale;
+        }
       }
     }
   }
+  // The cache axis must exercise both of the cache's non-miss outcomes.
+  EXPECT_GT(cache_hits, 0);
+  EXPECT_GT(cache_stale, 0);
 }
 
 TEST_P(ServeShardedPropertyTest, HaltTranscriptsMatchUnderShards) {
@@ -359,17 +379,6 @@ TEST(ServeShardedTest, RouterFansMwUpdateWorkAcrossThePool) {
   EXPECT_EQ(service.router().sections(), 4 * stats.updates);
   EXPECT_EQ(service.router().shard_tasks(),
             4 * stats.updates * (service.num_shards() - 1));
-  // The epoch publishes per-shard slice views that tile the support.
-  std::shared_ptr<const Epoch> epoch = service.epochs().Current();
-  ASSERT_NE(epoch, nullptr);
-  ASSERT_EQ(epoch->shards.size(), 4u);
-  size_t stitched = 0;
-  for (const Epoch::ShardSlice& slice : epoch->shards) {
-    stitched += slice.support.size();
-  }
-  EXPECT_EQ(stitched, epoch->snapshot->support.size());
-  EXPECT_EQ(epoch->shard_fingerprint,
-            service.mechanism().shard_fingerprint());
 }
 
 }  // namespace
