@@ -16,10 +16,14 @@
 //
 // --record-trace writes each scenario's expanded request stream as a
 // replayable trace file (workload/trace.h) next to the json artifacts.
+// Both directories are created before the first scenario runs; if that
+// fails the run exits 2 having run nothing.
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "workload/runner.h"
@@ -81,6 +85,16 @@ int Main(int argc, char** argv) {
       return 2;
     }
     scenarios = {spec};
+  }
+
+  for (const std::string& dir : {args.out_dir, args.trace_dir}) {
+    std::error_code error;
+    if (!dir.empty()) std::filesystem::create_directories(dir, error);
+    if (error) {
+      std::fprintf(stderr, "bench_scenarios: cannot create '%s': %s\n",
+                   dir.c_str(), error.message().c_str());
+      return 2;
+    }
   }
 
   workload::RunOptions options;

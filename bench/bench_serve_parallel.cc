@@ -12,11 +12,11 @@
 //    maximally wrong, so the sparse vector fires kTop round after round
 //    and the cost that matters is the MW-update path — the
 //    dual-certificate payoff over all of X plus the sharded
-//    reweigh/renormalize — which serve::ShardRouter fans across the
-//    pool. The measured quantity is ServeStats::mw_update_ms, the sum of
-//    the service's per-hard-round MW-update histogram (the update path
-//    alone; oracle solves and prepares excluded — they are the
-//    sequential part sharding cannot touch). Gate: >= 2x MW-update-path
+//    reweigh/renormalize — which the service's shard runner fork-joins
+//    across the pool. The measured quantity is ServeStats::mw_update_ms,
+//    the sum of the service's per-hard-round MW-update histogram (the
+//    update path alone; oracle solves and prepares excluded — they are
+//    the sequential part sharding cannot touch). Gate: >= 2x MW-update-path
 //    throughput at --shards=4 over --shards=1. Updates per config must
 //    be identical (sharding is bit-invariant), so the ratio is pure
 //    wall-clock.

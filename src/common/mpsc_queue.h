@@ -12,11 +12,11 @@
 // replayable: per-producer program order is preserved, and the global
 // interleaving is fixed at enqueue time, before any serving work runs.
 //
-// Ownership on rejection: Push/TryPush take the item by lvalue reference
-// and move from it only on success. A rejected item (queue closed, or
-// full for TryPush) is left untouched, so callers can salvage move-only
-// payloads — the dispatcher fulfills a request's promise with a typed
-// shutdown error instead of letting it break.
+// Ownership on rejection: Push takes the item by lvalue reference and
+// moves from it only on success. An item rejected by a closed queue is
+// left untouched, so callers can salvage move-only payloads — the
+// dispatcher fulfills a request's promise with a typed shutdown error
+// instead of letting it break.
 
 #ifndef PMWCM_COMMON_MPSC_QUEUE_H_
 #define PMWCM_COMMON_MPSC_QUEUE_H_
@@ -36,11 +36,8 @@ namespace pmw {
 template <typename T>
 class MpscQueue {
  public:
-  enum class PushResult { kOk, kFull, kClosed };
-
   /// A queue holding at most `capacity` items (>= 1). Producers pushing
-  /// into a full queue block (Push) or bounce (TryPush) — backpressure,
-  /// never unbounded growth.
+  /// into a full queue block — backpressure, never unbounded growth.
   explicit MpscQueue(size_t capacity) : capacity_(capacity) {
     PMW_CHECK_GE(capacity, size_t{1});
   }
@@ -61,18 +58,6 @@ class MpscQueue {
     }
     can_pop_.notify_one();
     return true;
-  }
-
-  /// Non-blocking push. Moves from `item` only on kOk.
-  PushResult TryPush(T& item) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_) return PushResult::kClosed;
-      if (items_.size() >= capacity_) return PushResult::kFull;
-      items_.push_back(std::move(item));
-    }
-    can_pop_.notify_one();
-    return PushResult::kOk;
   }
 
   /// Consumer side (one thread). Blocks until at least one item is
@@ -129,17 +114,10 @@ class MpscQueue {
     can_pop_.notify_all();
   }
 
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-  }
-
   size_t size() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return items_.size();
   }
-
-  size_t capacity() const { return capacity_; }
 
  private:
   const size_t capacity_;

@@ -69,4 +69,26 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+void ForkJoin(ThreadPool* pool, int n, const std::function<void(int)>& fn) {
+  if (pool == nullptr || n <= 1) {
+    for (int i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  std::vector<std::future<void>> pending;
+  pending.reserve(static_cast<size_t>(n) - 1);
+  try {
+    for (int i = 1; i < n; ++i) {
+      pending.push_back(pool->Submit([&fn, i] { fn(i); }));
+    }
+    fn(0);  // the caller would otherwise just block on the join
+  } catch (...) {
+    // The submitted indices still reference the caller's frame.
+    for (std::future<void>& f : pending) f.wait();
+    throw;
+  }
+  // Join every index before get() may rethrow, lowest index first.
+  for (std::future<void>& f : pending) f.wait();
+  for (std::future<void>& f : pending) f.get();
+}
+
 }  // namespace pmw

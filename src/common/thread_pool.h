@@ -18,6 +18,11 @@
 // throws is captured into its future and rethrown from future::get() on
 // the caller's thread — a worker never dies and never takes the process
 // down with it.
+//
+// ForkJoin (below) is the one fan-out the serving stack builds on: the
+// parallel prepare (serve/shard_executor.h) and the MW update's per-shard
+// phases (serve/pmw_service.h) both go through it, and it is the only
+// caller of Submit in src/.
 
 #ifndef PMWCM_COMMON_THREAD_POOL_H_
 #define PMWCM_COMMON_THREAD_POOL_H_
@@ -87,6 +92,16 @@ class ThreadPool {
   int num_threads_ = 0;  // fixed at construction; survives Shutdown
   std::vector<std::thread> workers_;
 };
+
+/// Runs fn(i) for every i in [0, n) and returns once all of them finished:
+/// fn(0) on the calling thread, fn(1..n-1) on `pool`'s workers. With a
+/// null pool or n <= 1 every index runs inline in index order, and an
+/// exception from fn(i) propagates at once. Otherwise every submitted
+/// index is joined before any exception escapes, so fn may reference the
+/// caller's frame, and the one rethrown is the first of: a throwing
+/// Submit (a shut-down pool throws std::runtime_error before anything
+/// ran), fn(0), the lowest failing worker index.
+void ForkJoin(ThreadPool* pool, int n, const std::function<void(int)>& fn);
 
 }  // namespace pmw
 

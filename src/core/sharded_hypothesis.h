@@ -5,7 +5,7 @@
 // shards so the MW-update hot path (reweigh every x, renormalize)
 // decomposes into K independent per-shard passes plus O(K)-sized
 // combines — the distribution unit of the sharded serving engine
-// (serve/shard_router.h) and of the multi-host fabric (src/cluster).
+// (serve/pmw_service.h) and of the multi-host fabric (src/cluster).
 //
 // Configured once. Size, shard count, runner, storage backend, sparse
 // options and delegate are constructor arguments and never change;
@@ -184,8 +184,9 @@ class HypothesisDelegate {
 
 /// Runs fn(s) for every shard s in [0, num_shards) and returns only once
 /// all shards completed. The serving layer installs a thread-pool-backed
-/// runner (serve::ShardRouter); null means "loop inline in shard order",
-/// the sequential configuration. Implementations may run shards in any
+/// runner (serve::PmwService fork-joins the shards with ForkJoin and
+/// times each one); null means "loop inline in shard order", the
+/// sequential configuration. Implementations may run shards in any
 /// order or concurrency — per-shard work is disjoint and the combines
 /// happen on the caller afterwards, so scheduling cannot change results.
 using ShardRunner =

@@ -282,16 +282,5 @@ DispatcherStats Dispatcher::stats() const {
   return stats;
 }
 
-AnalystSession::AnalystSession(Dispatcher* dispatcher, std::string analyst_id)
-    : dispatcher_(dispatcher), analyst_id_(std::move(analyst_id)) {
-  PMW_CHECK(dispatcher != nullptr);
-}
-
-std::future<Served> AnalystSession::Submit(
-    const convex::CmQuery& query, uint64_t* request_id,
-    std::chrono::steady_clock::time_point deadline) {
-  return dispatcher_->Submit(analyst_id_, query, request_id, deadline);
-}
-
 }  // namespace frontend
 }  // namespace pmw

@@ -211,25 +211,6 @@ class Dispatcher {
   std::thread dispatcher_;  // last member: starts in the constructor
 };
 
-/// A named handle binding one analyst's identity to a dispatcher — what
-/// client code holds. Sessions are cheap; one per analyst thread.
-class AnalystSession {
- public:
-  /// `dispatcher` must outlive the session.
-  AnalystSession(Dispatcher* dispatcher, std::string analyst_id);
-
-  /// Submit under this session's identity (see Dispatcher::Submit).
-  std::future<Served> Submit(
-      const convex::CmQuery& query, uint64_t* request_id = nullptr,
-      std::chrono::steady_clock::time_point deadline = {});
-
-  const std::string& analyst_id() const { return analyst_id_; }
-
- private:
-  Dispatcher* dispatcher_;
-  std::string analyst_id_;
-};
-
 }  // namespace frontend
 }  // namespace pmw
 

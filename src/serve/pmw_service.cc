@@ -108,18 +108,25 @@ PmwService::PmwService(const data::Dataset* dataset, erm::Oracle* oracle,
       pool_(serve_options.num_threads > 1
                 ? std::make_unique<ThreadPool>(serve_options.num_threads)
                 : nullptr),
-      executor_(pool_.get(), &cm_),
-      router_(pool_.get()) {
-  // Partition the hypothesis and route its per-shard MW-update work
-  // through the pool. A single shard keeps the inline (sequential) path.
-  // With a delegate (multi-host topology: cluster::Combiner) the
-  // per-shard phases run in shard-group worker processes instead.
+      executor_(pool_.get(), &cm_) {
+  // Partition the hypothesis; its per-shard MW-update work fork-joins
+  // across the pool (shard 0 on the writer), timing each shard into
+  // shard_us_. A single shard never calls the runner. With a delegate
+  // (multi-host topology: cluster::Combiner) the per-shard phases run in
+  // shard-group worker processes and only the payoff loop comes here.
   cm_.ConfigureSharding(
       serve_options.num_shards,
-      serve_options.num_shards > 1 ? router_.AsRunner()
-                                   : core::ShardRunner{},
+      [this](int num_shards, const std::function<void(int)>& fn) {
+        ForkJoin(pool_.get(), num_shards, [this, &fn](int s) {
+          WallTimer timer;
+          fn(s);
+          shard_us_[static_cast<size_t>(s)] +=
+              static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6);
+        });
+      },
       serve_options.hypothesis_backend, serve_options.sparse,
       serve_options.hypothesis_delegate);
+  shard_us_.assign(static_cast<size_t>(cm_.num_shards()), 0);
 
   // Bind the metrics registry (injected by the endpoint, or a private
   // one) and resolve every instrument handle once; all hot-path
@@ -323,7 +330,7 @@ std::vector<Result<convex::Vec>> PmwService::AnswerBatch(
     if (outcome != nullptr && snapshot != nullptr) {
       outcome->cache_hit = prepared.plan_from_cache[plan_slot] != 0;
     }
-    if (outcome != nullptr && shards > 1) router_.ResetWindow(shards);
+    std::fill(shard_us_.begin(), shard_us_.end(), 0);
     WallTimer commit_timer;
     Result<core::PmwAnswer> answer =
         cm_.AnswerPrepared(query, plan, snapshot.get());
@@ -347,9 +354,8 @@ std::vector<Result<convex::Vec>> PmwService::AnswerBatch(
       if (analyst != nullptr) analyst->updates->Add(1);
       if (outcome != nullptr) outcome->hard_round = true;
       if (outcome != nullptr && shards > 1) {
-        const std::vector<uint64_t>& window = router_.WindowShardUs();
-        outcome->shard_us.reserve(window.size());
-        for (uint64_t us : window) {
+        outcome->shard_us.reserve(shard_us_.size());
+        for (uint64_t us : shard_us_) {
           outcome->shard_us.push_back(static_cast<uint32_t>(
               std::min<uint64_t>(us, UINT32_MAX)));
         }

@@ -5,26 +5,28 @@
 //
 //   * Read path (parallel). At batch start the writer publishes an
 //     *epoch*: an immutable compacted snapshot of the hypothesis
-//     (serve/epoch_state.h). A ShardExecutor partitions the batch into
-//     contiguous shards — one per thread-pool worker — and each worker
-//     prepares its shard's queries against that snapshot
-//     (PmwCm::Prepare: const, deterministic, no randomness). This is the
-//     embarrassingly parallel part: in steady state the sparse vector
-//     answers kBottom and preparation is all the work there is.
+//     (serve/epoch_state.h). A ShardExecutor dedups the batch, splits
+//     its distinct queries into contiguous chunks — at most one per
+//     thread-pool worker — and fork-joins them (common/thread_pool.h's
+//     ForkJoin; chunk 0 on the writer), each chunk prepared against that
+//     snapshot (PmwCm::Prepare: const, deterministic, no randomness).
+//     This is the embarrassingly parallel part: in steady state the
+//     sparse vector answers kBottom and preparation is all the work
+//     there is.
 //   * Write path (sequential commits, sharded updates). The single
 //     writer then commits queries in arrival order through
 //     PmwCm::AnswerPrepared — sparse-vector noise draws, oracle calls,
 //     MW updates, and ledger appends all happen here, in canonical
 //     order. With ServeOptions::num_shards > 1 the hypothesis is
 //     partitioned into domain shards and a hard round's MW-update path
-//     (payoff + reweigh/renormalize) fans its per-shard halves across
-//     the same worker pool via serve::ShardRouter, with the cross-shard
-//     combines folded on the writer in fixed shard order. When a commit
-//     fires a hard round (MW update) the epoch advances: the writer
-//     publishes a new snapshot and re-prepares the batch's remaining
-//     suffix in parallel before continuing. Updates are bounded by the
-//     schedule's T, so re-prepares are rare and the amortization
-//     survives.
+//     (payoff + reweigh/renormalize) fork-joins its per-shard halves
+//     across the same worker pool through the shard runner the service
+//     installs, with the cross-shard combines folded on the writer in
+//     fixed shard order. When a commit fires a hard round (MW update)
+//     the epoch advances: the writer publishes a new snapshot and
+//     re-prepares the batch's remaining suffix in parallel before
+//     continuing. Updates are bounded by the schedule's T, so
+//     re-prepares are rare and the amortization survives.
 //
 // Determinism: plans are pure functions of (query, snapshot) and every
 // stateful step is replayed in arrival order by one thread, so answers
@@ -50,7 +52,6 @@
 #include "obs/metrics.h"
 #include "serve/epoch_state.h"
 #include "serve/shard_executor.h"
-#include "serve/shard_router.h"
 
 namespace pmw {
 namespace serve {
@@ -63,10 +64,10 @@ struct ServeOptions {
   /// Domain shards the hypothesis is partitioned into (rounded down to a
   /// power of two, clamped to the universe size). With > 1 shard the
   /// MW-update hot path — the dual-certificate payoff and the
-  /// reweigh/renormalize passes — fans across the same worker pool via
-  /// serve::ShardRouter, while commits keep their fixed shard order so
-  /// transcripts stay bit-identical to sequential PmwCm at ANY
-  /// (shards x threads) configuration.
+  /// reweigh/renormalize passes — fork-joins across the same worker
+  /// pool, while commits keep their fixed shard order so transcripts stay
+  /// bit-identical to sequential PmwCm at ANY (shards x threads)
+  /// configuration.
   int num_shards = 1;
   /// Hypothesis storage backend. kSparse materializes only the support
   /// the MW updates actually touch (per-shard uniform residual for the
@@ -254,8 +255,6 @@ class PmwService {
   int num_shards() const { return cm_.num_shards(); }
   /// The epoch holder (the stats RPC reads its current version).
   const EpochState& epochs() const { return epochs_; }
-  /// The per-shard work router (exposed for tests).
-  const ShardRouter& router() const { return router_; }
 
  private:
   /// Publishes a fresh epoch and prepares queries[begin, end) against it,
@@ -298,9 +297,11 @@ class PmwService {
   core::PmwCm cm_;
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads <= 1
   ShardExecutor executor_;
-  /// Fans the MW-update path's per-shard phases across pool_; installed
-  /// into cm_ as its ShardRunner when num_shards > 1.
-  ShardRouter router_;
+  /// Per-shard MW wall time of the commit in flight, in microseconds:
+  /// cm_'s shard runner adds shard s's time to slot s on whichever
+  /// thread ran it, between fork and join; the writer zeroes the slots
+  /// before each commit and reads them after it.
+  std::vector<uint64_t> shard_us_;
   EpochState epochs_;
   /// Owned fallback when ServeOptions::registry is null; registry_
   /// always points at the live one.

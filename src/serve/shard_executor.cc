@@ -1,7 +1,6 @@
 #include "serve/shard_executor.h"
 
 #include <algorithm>
-#include <future>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -12,20 +11,6 @@ namespace serve {
 ShardExecutor::ShardExecutor(ThreadPool* pool, const core::PmwCm* cm)
     : pool_(pool), cm_(cm) {
   PMW_CHECK(cm != nullptr);
-}
-
-void ShardExecutor::PrepareShard(std::span<const convex::CmQuery> queries,
-                                 const std::vector<size_t>& positions,
-                                 const std::vector<size_t>& slots, size_t lo,
-                                 size_t hi,
-                                 const core::HypothesisSnapshot& snapshot,
-                                 core::PreparedQuery* plans) const {
-  for (size_t u = lo; u < hi; ++u) {
-    const size_t slot = slots[u];
-    // A stale cache probe left the entry's data_min in the slot.
-    plans[slot] =
-        cm_->Prepare(queries[positions[slot]], snapshot, &plans[slot]);
-  }
 }
 
 ShardExecutor::PrepareResult ShardExecutor::PrepareRange(
@@ -89,45 +74,24 @@ ShardExecutor::PrepareResult ShardExecutor::PrepareRange(
   const size_t misses = miss_slots.size();
   if (misses == 0) return result;
 
-  // Fan the missed queries out; each worker writes a disjoint set of
-  // result.plans slots, sharing nothing but the const snapshot. The
-  // futures' wait/get below both joins a shard and publishes its writes
-  // (happens-before) back to this thread.
-  const size_t max_shards =
+  // Fan the missed queries out in contiguous chunks, at most one per pool
+  // worker; each chunk writes a disjoint set of result.plans slots,
+  // sharing nothing but the const snapshot. ForkJoin's join publishes
+  // those writes to this thread.
+  const size_t workers =
       pool_ != nullptr ? static_cast<size_t>(pool_->size()) : 1;
-  const size_t shards = std::min(max_shards, misses);
-  core::PreparedQuery* plans = result.plans.data();
-  if (shards <= 1) {
-    PrepareShard(queries, positions, miss_slots, 0, misses, snapshot, plans);
-  } else {
-    const size_t chunk = (misses + shards - 1) / shards;
-    std::vector<std::future<void>> pending;
-    pending.reserve(shards);
-    try {
-      for (size_t s = 0; s < shards; ++s) {
-        const size_t lo = s * chunk;
-        const size_t hi = std::min(lo + chunk, misses);
-        if (lo >= hi) break;
-        pending.push_back(pool_->Submit(
-            [this, queries, &positions, &miss_slots, lo, hi, &snapshot,
-             plans] {
-              PrepareShard(queries, positions, miss_slots, lo, hi, snapshot,
-                           plans);
-            }));
-      }
-    } catch (...) {
-      // Submit threw (allocation / pool shutdown): in-flight shards still
-      // reference this frame's positions/snapshot/plans — join them before
-      // unwinding.
-      for (std::future<void>& f : pending) f.wait();
-      throw;
+  const size_t chunk = (misses + workers - 1) / workers;
+  const int chunks = static_cast<int>((misses + chunk - 1) / chunk);
+  ForkJoin(pool_, chunks, [&](int s) {
+    const size_t lo = static_cast<size_t>(s) * chunk;
+    const size_t hi = std::min(lo + chunk, misses);
+    for (size_t u = lo; u < hi; ++u) {
+      const size_t slot = miss_slots[u];
+      // A stale cache probe left the entry's data_min in the slot.
+      result.plans[slot] = cm_->Prepare(queries[positions[slot]], snapshot,
+                                        &result.plans[slot]);
     }
-    // Join every shard unconditionally before get() may rethrow a task
-    // exception: unwinding with shards in flight would free the buffers
-    // they write.
-    for (std::future<void>& f : pending) f.wait();
-    for (std::future<void>& f : pending) f.get();
-  }
+  });
 
   // Publish the fresh plans (writer thread, after the join, so the cache
   // never observes a half-written plan).

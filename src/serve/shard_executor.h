@@ -1,5 +1,5 @@
-// Shards a query batch across thread-pool workers and prepares every
-// query against one immutable epoch snapshot.
+// Shards a query batch across the calling thread and thread-pool workers
+// and prepares every query against one immutable epoch snapshot.
 //
 // Why this is safe to parallelize: PmwCm::Prepare is const, deterministic,
 // and draws no randomness — each plan is a pure function of (query,
@@ -12,11 +12,13 @@
 //
 // Dedup happens *before* sharding: one cheap pointer-identity pass over
 // the range collects the distinct queries (PR 1's batch cache, hoisted),
-// the distinct set is sharded contiguously across workers, and each
-// plan is scattered back to every position that asked for it. Cycling
-// workloads — many clients asking overlapping questions — therefore
-// amortize identically at every thread count, and workers never compute
-// the same plan twice regardless of how repeats straddle shards.
+// the ones the plan cache misses are cut into contiguous chunks, at most
+// one per pool worker, that fork-join through common/thread_pool.h's
+// ForkJoin (chunk 0 on the calling thread, the rest on workers), and
+// each plan is scattered back to every position that asked for it.
+// Cycling workloads — many clients asking overlapping questions —
+// therefore amortize identically at every thread count, and no two
+// chunks compute the same plan regardless of how repeats straddle them.
 
 #ifndef PMWCM_SERVE_SHARD_EXECUTOR_H_
 #define PMWCM_SERVE_SHARD_EXECUTOR_H_
@@ -78,17 +80,6 @@ class ShardExecutor {
                              PlanCache* cache = nullptr) const;
 
  private:
-  /// Prepares the cache-missed queries whose plan slots are
-  /// slots[lo, hi): plans[slots[u]] receives the plan for
-  /// queries[positions[slots[u]]], passing the slot's current contents
-  /// as Prepare's `earlier`. Runs on a worker (or inline). Reads only
-  /// const state: the mechanism's Prepare path and the snapshot.
-  void PrepareShard(std::span<const convex::CmQuery> queries,
-                    const std::vector<size_t>& positions,
-                    const std::vector<size_t>& slots, size_t lo, size_t hi,
-                    const core::HypothesisSnapshot& snapshot,
-                    core::PreparedQuery* plans) const;
-
   ThreadPool* pool_;
   const core::PmwCm* cm_;
 };

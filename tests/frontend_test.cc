@@ -141,14 +141,15 @@ TEST_F(FrontendTest, TranscriptMatchesSequentialReplayOfArrivalLog) {
   for (int a = 0; a < kAnalysts; ++a) {
     analysts.emplace_back([this, a, &dispatcher, &submitted_mutex,
                            &submitted] {
-      AnalystSession session(&dispatcher, "analyst-" + std::to_string(a));
+      const std::string analyst = "analyst-" + std::to_string(a);
       for (int j = 0; j < kQueriesPerAnalyst; ++j) {
         size_t pool_index =
             static_cast<size_t>(a * 7 + j * 3) % pool_.size();
         SubmittedRequest request;
         request.pool_index = pool_index;
-        request.analyst = session.analyst_id();
-        request.future = session.Submit(pool_[pool_index], &request.id);
+        request.analyst = analyst;
+        request.future =
+            dispatcher.Submit(analyst, pool_[pool_index], &request.id);
         std::lock_guard<std::mutex> lock(submitted_mutex);
         submitted.push_back(std::move(request));
       }
@@ -227,12 +228,12 @@ TEST_F(FrontendTest, QuotaRejectionConsumesZeroPrivacyBudget) {
   quota_options.per_analyst_queries = 3;
   QuotaManager quota(&service, quota_options);
   Dispatcher dispatcher(&service, &quota);
-  AnalystSession session(&dispatcher, "bounded-analyst");
+  const std::string analyst = "bounded-analyst";
 
   // First 3 are admitted and served.
   for (int j = 0; j < 3; ++j) {
     Result<convex::Vec> answer =
-        session.Submit(pool_[static_cast<size_t>(j)]).get().answer;
+        dispatcher.Submit(analyst, pool_[static_cast<size_t>(j)]).get().answer;
     EXPECT_TRUE(answer.ok()) << answer.status().ToString();
   }
   const int events_before = service.mechanism().ledger().event_count();
@@ -242,7 +243,8 @@ TEST_F(FrontendTest, QuotaRejectionConsumesZeroPrivacyBudget) {
 
   // The next 5 are rejected at the front door with a typed error...
   for (int j = 0; j < 5; ++j) {
-    Result<convex::Vec> rejected = session.Submit(pool_[0]).get().answer;
+    Result<convex::Vec> rejected =
+        dispatcher.Submit(analyst, pool_[0]).get().answer;
     ASSERT_FALSE(rejected.ok());
     EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
     EXPECT_NE(rejected.status().message().find("quota"), std::string::npos);
@@ -297,9 +299,9 @@ TEST_F(FrontendTest, GlobalQuotaAppliesAcrossAnalysts) {
     // Two appends (GCC 12 Release -Wrestrict false positive on "a" + ...).
     std::string analyst = "a";
     analyst += std::to_string(a);
-    AnalystSession session(&dispatcher, analyst);
     for (int j = 0; j < 2; ++j) {
-      Result<convex::Vec> answer = session.Submit(pool_[0]).get().answer;
+      Result<convex::Vec> answer =
+          dispatcher.Submit(analyst, pool_[0]).get().answer;
       if (answer.ok()) {
         ++served;
       } else {
@@ -498,10 +500,10 @@ TEST_F(FrontendTest, ExpiredDeadlineResolvesTypedAtZeroPrivacyCost) {
   quota_options.per_analyst_queries = 4;
   QuotaManager quota(&service, quota_options);
   Dispatcher dispatcher(&service, &quota);
-  AnalystSession session(&dispatcher, "deadline-analyst");
+  const std::string analyst = "deadline-analyst";
 
   // Warm the mechanism so the ledger is non-trivial before the expiry.
-  ASSERT_TRUE(session.Submit(pool_[0]).get().answer.ok());
+  ASSERT_TRUE(dispatcher.Submit(analyst, pool_[0]).get().answer.ok());
   const int events_before = service.mechanism().ledger().event_count();
   const dp::PrivacyParams spent_before =
       service.mechanism().ledger().BasicTotal();
@@ -513,7 +515,9 @@ TEST_F(FrontendTest, ExpiredDeadlineResolvesTypedAtZeroPrivacyCost) {
   const auto already_expired =
       std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
   Result<convex::Vec> late =
-      session.Submit(pool_[1], nullptr, already_expired).get().answer;
+      dispatcher.Submit(analyst, pool_[1], nullptr, already_expired)
+          .get()
+          .answer;
   ASSERT_FALSE(late.ok());
   EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(api::ClassifyStatus(late.status()),
@@ -533,7 +537,8 @@ TEST_F(FrontendTest, ExpiredDeadlineResolvesTypedAtZeroPrivacyCost) {
   // A roomy deadline serves normally (and still counts one expiry only).
   const auto roomy =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  EXPECT_TRUE(session.Submit(pool_[2], nullptr, roomy).get().answer.ok());
+  EXPECT_TRUE(
+      dispatcher.Submit(analyst, pool_[2], nullptr, roomy).get().answer.ok());
   dispatcher.Shutdown();
   EXPECT_EQ(dispatcher.stats().deadline_expired, 1);
 }
@@ -552,11 +557,11 @@ TEST_F(FrontendTest, DeadlineExpiryRefundsExactlyOneQuotaSlot) {
   quota_options.per_analyst_queries = 4;
   QuotaManager quota(&service, quota_options);
   Dispatcher dispatcher(&service, &quota);
-  AnalystSession session(&dispatcher, "refund-analyst");
+  const std::string analyst = "refund-analyst";
 
   // Warm the quota ledger: two served queries leave admitted == 2.
-  ASSERT_TRUE(session.Submit(pool_[0]).get().answer.ok());
-  ASSERT_TRUE(session.Submit(pool_[1]).get().answer.ok());
+  ASSERT_TRUE(dispatcher.Submit(analyst, pool_[0]).get().answer.ok());
+  ASSERT_TRUE(dispatcher.Submit(analyst, pool_[1]).get().answer.ok());
   ASSERT_EQ(quota.admitted("refund-analyst"), 2);
 
   // Three sequential expiries. Each .get() forces the sweep (and its
@@ -566,7 +571,9 @@ TEST_F(FrontendTest, DeadlineExpiryRefundsExactlyOneQuotaSlot) {
     const auto already_expired =
         std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
     Result<convex::Vec> late =
-        session.Submit(pool_[2 + i], nullptr, already_expired).get().answer;
+        dispatcher.Submit(analyst, pool_[2 + i], nullptr, already_expired)
+            .get()
+            .answer;
     ASSERT_FALSE(late.ok());
     EXPECT_EQ(api::ClassifyStatus(late.status()),
               api::ErrorCode::kDeadlineExpired);
@@ -579,9 +586,9 @@ TEST_F(FrontendTest, DeadlineExpiryRefundsExactlyOneQuotaSlot) {
   // Exactly two slots remain: two more serves fill the quota of 4, and
   // the fifth admission is the typed quota rejection. A double refund
   // anywhere above would have left extra slots and this would serve.
-  EXPECT_TRUE(session.Submit(pool_[5]).get().answer.ok());
-  EXPECT_TRUE(session.Submit(pool_[6]).get().answer.ok());
-  Result<convex::Vec> over = session.Submit(pool_[7]).get().answer;
+  EXPECT_TRUE(dispatcher.Submit(analyst, pool_[5]).get().answer.ok());
+  EXPECT_TRUE(dispatcher.Submit(analyst, pool_[6]).get().answer.ok());
+  Result<convex::Vec> over = dispatcher.Submit(analyst, pool_[7]).get().answer;
   ASSERT_FALSE(over.ok());
   EXPECT_EQ(api::ClassifyStatus(over.status()),
             api::ErrorCode::kQuotaExceeded);
@@ -608,13 +615,12 @@ TEST_F(FrontendTest, BackpressureOnTinyQueueStillServesEverything) {
   std::vector<std::thread> analysts;
   for (int a = 0; a < kThreads; ++a) {
     analysts.emplace_back([this, a, &dispatcher, &ok_count] {
-      AnalystSession session(&dispatcher, "burst-" + std::to_string(a));
+      const std::string analyst = "burst-" + std::to_string(a);
       for (int j = 0; j < kPerThread; ++j) {
+        const convex::CmQuery& query =
+            pool_[static_cast<size_t>(a + j) % pool_.size()];
         Result<convex::Vec> answer =
-            session
-                .Submit(pool_[static_cast<size_t>(a + j) % pool_.size()])
-                .get()
-                .answer;
+            dispatcher.Submit(analyst, query).get().answer;
         if (answer.ok()) ok_count.fetch_add(1, std::memory_order_relaxed);
       }
     });

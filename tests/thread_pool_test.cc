@@ -1,6 +1,8 @@
 // ThreadPool unit + concurrency stress tests: result delivery, FIFO order
 // on a single worker, exception propagation through futures, shutdown
-// draining, and a many-producers / many-tasks stress run. The TSan CI job
+// draining, a many-producers / many-tasks stress run, and ForkJoin's
+// contract (every index once, index 0 on the caller, inline without a
+// pool, join before rethrow, lowest failing index wins). The TSan CI job
 // rebuilds this binary with -fsanitize=thread, so every synchronization
 // claim in common/thread_pool.h is machine-checked, not just argued.
 
@@ -171,6 +173,108 @@ TEST(ThreadPoolTest, TwoWorkersCanBlockOnEachOther) {
             std::future_status::ready);
   a.get();
   b.get();
+}
+
+TEST(ForkJoinTest, RunsEveryIndexOnceWithIndexZeroOnTheCaller) {
+  constexpr int kIndices = 16;  // more indices than workers
+  std::vector<std::atomic<int>> runs(kIndices);
+  std::thread::id index_zero_thread;
+  ThreadPool pool(4);
+  ForkJoin(&pool, kIndices, [&](int i) {
+    runs[static_cast<size_t>(i)].fetch_add(1);
+    if (i == 0) index_zero_thread = std::this_thread::get_id();
+  });
+  for (int i = 0; i < kIndices; ++i) {
+    EXPECT_EQ(runs[static_cast<size_t>(i)].load(), 1) << "index " << i;
+  }
+  EXPECT_EQ(index_zero_thread, std::this_thread::get_id());
+}
+
+TEST(ForkJoinTest, RunsInlineInOrderWithoutAPoolOrWithOneIndex) {
+  std::vector<int> order;
+  std::vector<std::thread::id> threads;
+  const auto record = [&](int i) {
+    order.push_back(i);
+    threads.push_back(std::this_thread::get_id());
+  };
+  ForkJoin(nullptr, 5, record);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+
+  ThreadPool pool(2);
+  ForkJoin(&pool, 1, record);
+  ForkJoin(&pool, 0, record);  // nothing to run
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 0}));
+  for (const std::thread::id& id : threads) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
+// The indices that do not throw sleep before setting their flag, so a
+// ForkJoin that rethrew before joining would be caught with flags unset.
+TEST(ForkJoinTest, WorkerFailureSurfacesAfterEveryIndexFinished) {
+  std::atomic<bool> finished[4] = {false, false, false, false};
+  ThreadPool pool(3);
+  try {
+    ForkJoin(&pool, 4, [&finished](int i) {
+      if (i == 2) throw std::runtime_error("index 2");
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      finished[i].store(true);
+    });
+    FAIL() << "expected index 2's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "index 2");
+  }
+  for (int i : {0, 1, 3}) EXPECT_TRUE(finished[i].load()) << "index " << i;
+}
+
+TEST(ForkJoinTest, IndexZeroFailureSurfacesAfterEveryIndexFinished) {
+  std::atomic<bool> finished[4] = {false, false, false, false};
+  ThreadPool pool(3);
+  try {
+    ForkJoin(&pool, 4, [&finished](int i) {
+      if (i == 0) throw std::runtime_error("index 0");
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      finished[i].store(true);
+    });
+    FAIL() << "expected index 0's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "index 0");
+  }
+  for (int i : {1, 2, 3}) EXPECT_TRUE(finished[i].load()) << "index " << i;
+}
+
+TEST(ForkJoinTest, TheLowestFailingIndexIsRethrown) {
+  ThreadPool pool(3);
+  // Index 3 fails first and index 1 last; index 1 still wins.
+  try {
+    ForkJoin(&pool, 4, [](int i) {
+      if (i == 0) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(20 * (4 - i)));
+      throw std::runtime_error("index " + std::to_string(i));
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "index 1");
+  }
+  // Index 0 outranks every worker index.
+  try {
+    ForkJoin(&pool, 4, [](int i) {
+      throw std::runtime_error("index " + std::to_string(i));
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "index 0");
+  }
+}
+
+TEST(ForkJoinTest, ShutDownPoolThrowsAndRunsNothing) {
+  std::atomic<int> ran{0};
+  ThreadPool pool(2);
+  pool.Shutdown();
+  EXPECT_THROW(ForkJoin(&pool, 3, [&ran](int) { ran.fetch_add(1); }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 0);
+  EXPECT_EQ(pool.tasks_completed(), 0);
 }
 
 }  // namespace
