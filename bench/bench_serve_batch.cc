@@ -22,6 +22,7 @@
 #include "data/histogram.h"
 #include "erm/nonprivate_oracle.h"
 #include "losses/loss_family.h"
+#include "obs/metrics.h"
 #include "serve/pmw_service.h"
 
 namespace pmw {
@@ -70,8 +71,9 @@ BenchResult RunAtBatchSize(const data::Dataset& dataset,
   BenchResult result;
   result.queries_per_sec =
       elapsed > 0.0 ? static_cast<double>(workload.size()) / elapsed : 0.0;
-  result.cache_hits = service.stats().prepare_cache_hits;
-  result.updates = service.stats().updates;
+  result.cache_hits =
+      service.registry().CounterValue("pmw_serve_prepare_cache_hits_total");
+  result.updates = service.registry().CounterValue("pmw_serve_updates_total");
   return result;
 }
 

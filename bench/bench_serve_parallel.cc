@@ -13,8 +13,8 @@
 //    and the cost that matters is the MW-update path — the
 //    dual-certificate payoff over all of X plus the sharded
 //    reweigh/renormalize — which the service's shard runner fork-joins
-//    across the pool. The measured quantity is ServeStats::mw_update_ms,
-//    the sum of the service's per-hard-round MW-update histogram (the
+//    across the pool. The measured quantity is the sum of the
+//    service's per-hard-round pmw_serve_mw_update_us histogram (the
 //    update path alone; oracle solves and prepares excluded — they are
 //    the sequential part sharding cannot touch). Gate: >= 2x MW-update-path
 //    throughput at --shards=4 over --shards=1. Updates per config must
@@ -52,6 +52,7 @@
 #include "data/histogram.h"
 #include "erm/nonprivate_oracle.h"
 #include "losses/loss_family.h"
+#include "obs/metrics.h"
 #include "serve/pmw_service.h"
 #include "workload/cores.h"
 #include "workload/json.h"
@@ -163,9 +164,10 @@ BenchResult RunAtThreads(const data::Dataset& dataset,
   BenchResult result;
   result.queries_per_sec =
       elapsed > 0.0 ? static_cast<double>(workload.size()) / elapsed : 0.0;
-  result.bottom = service.stats().bottom_answers;
-  result.updates = service.stats().updates;
-  result.errors = service.stats().errors;
+  const obs::Registry& registry = service.registry();
+  result.bottom = registry.CounterValue("pmw_serve_bottom_total");
+  result.updates = registry.CounterValue("pmw_serve_updates_total");
+  result.errors = registry.CounterValue("pmw_serve_errors_total");
   return result;
 }
 
@@ -209,10 +211,11 @@ MwBenchResult RunMwAtShards(const data::Dataset& dataset,
   }
 
   MwBenchResult result;
-  result.updates = service.stats().updates;
-  result.bottom = service.stats().bottom_answers;
-  result.errors = service.stats().errors;
-  result.mw_ms = service.stats().mw_update_ms;
+  const obs::Registry& registry = service.registry();
+  result.updates = registry.CounterValue("pmw_serve_updates_total");
+  result.bottom = registry.CounterValue("pmw_serve_bottom_total");
+  result.errors = registry.CounterValue("pmw_serve_errors_total");
+  result.mw_ms = registry.HistogramSnap("pmw_serve_mw_update_us").sum / 1e3;
   result.updates_per_sec =
       result.mw_ms > 0.0
           ? static_cast<double>(result.updates) / (result.mw_ms / 1e3)

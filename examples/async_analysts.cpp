@@ -92,8 +92,14 @@ int main() {
                 rejected[static_cast<size_t>(a)],
                 expired[static_cast<size_t>(a)]);
   }
-  std::printf("\n%s\n", server.Report().c_str());
-  std::printf("hard rounds remaining: %lld\n",
-              server.quota().HardRoundsRemaining());
+  // The budget view rides the stats RPC (zero privacy cost); every
+  // serving counter is in Client::Metrics() under its own metric name.
+  api::Client admin(&transport, "admin");
+  const api::AnswerEnvelope stats = admin.Stats();
+  std::printf("\nbudget: %lld hard rounds left, eps=%.4f delta=%.2e spent, "
+              "epoch %llu\n",
+              stats.meta.hard_rounds_remaining, stats.meta.epsilon_spent,
+              stats.meta.delta_spent,
+              static_cast<unsigned long long>(stats.meta.epoch));
   return 0;
 }

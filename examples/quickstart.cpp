@@ -67,6 +67,13 @@ int main() {
                 static_cast<unsigned long long>(reply.meta.epoch),
                 reply.meta.hard_rounds_remaining, reply.meta.epsilon_spent);
   }
-  std::printf("\nfront-door stats:\n%s\n", server.Report().c_str());
+  // The budget view rides the stats RPC (zero privacy cost); every
+  // serving counter is in Client::Metrics() under its own metric name.
+  const api::AnswerEnvelope stats = client.Stats();
+  std::printf("\nbudget: %lld hard rounds left, eps=%.4f delta=%.2e spent, "
+              "epoch %llu\n",
+              stats.meta.hard_rounds_remaining, stats.meta.epsilon_spent,
+              stats.meta.delta_spent,
+              static_cast<unsigned long long>(stats.meta.epoch));
   return 0;
 }

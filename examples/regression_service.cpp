@@ -97,6 +97,15 @@ int main() {
     });
   }
   for (std::thread& thread : threads) thread.join();
+  // The budget view rides the stats RPC over the same socket (zero
+  // privacy cost); every serving counter is in Client::Metrics().
+  api::AnswerEnvelope stats;
+  {
+    api::SocketTransport transport(socket_path);
+    api::Client admin(&transport, "admin");
+    stats = admin.Stats();
+    transport.Close();
+  }
   server.Shutdown();
   endpoint.Shutdown();
 
@@ -105,6 +114,10 @@ int main() {
                 teams[t].c_str(), answered[t], queries_per_team,
                 hard_rounds[t]);
   }
-  std::printf("\n%s\n", endpoint.Report().c_str());
+  std::printf("\nbudget: %lld hard rounds left, eps=%.4f delta=%.2e spent, "
+              "epoch %llu\n",
+              stats.meta.hard_rounds_remaining, stats.meta.epsilon_spent,
+              stats.meta.delta_spent,
+              static_cast<unsigned long long>(stats.meta.epoch));
   return 0;
 }

@@ -69,23 +69,21 @@ int main() {
       in_flight.pop_front();
     }
   }
-  double eps_spent = 0.0;
-  unsigned shards = 0;
   while (!in_flight.empty()) {
-    api::AnswerEnvelope reply = in_flight.front().get();
+    if (in_flight.front().get().ok()) ++answered;
     in_flight.pop_front();
-    if (reply.ok()) {
-      ++answered;
-      eps_spent = reply.meta.epsilon_spent;
-      shards = reply.meta.shards;
-    }
   }
   server.Shutdown();
 
+  // The budget view rides the stats RPC (zero privacy cost); every
+  // serving counter is in Client::Metrics() under its own metric name.
+  const api::AnswerEnvelope stats = client.Stats();
   std::printf("%d/%d requests answered (hypothesis served from %u domain "
               "shards)\n",
-              answered, kRequests, shards);
-  std::printf("%s\n", server.Report().c_str());
-  std::printf("privacy spent (basic): eps=%.3f\n", eps_spent);
+              answered, kRequests, stats.meta.shards);
+  std::printf("budget: %lld hard rounds left, eps=%.3f spent (basic), "
+              "epoch %llu\n",
+              stats.meta.hard_rounds_remaining, stats.meta.epsilon_spent,
+              static_cast<unsigned long long>(stats.meta.epoch));
   return 0;
 }

@@ -62,10 +62,10 @@ class Client {
       const std::vector<std::string>& query_names,
       std::chrono::microseconds deadline = std::chrono::microseconds{0});
 
-  /// Typed stats/budget poll (zero privacy cost): the reply's message is
-  /// the server's Report() text and its meta carries the live
-  /// remaining-budget view — hard rounds left, eps/delta spent, epoch,
-  /// shard count. What a remote analyst dashboards instead of the
+  /// Typed stats/budget poll (zero privacy cost): the reply's meta
+  /// carries the live remaining-budget view — hard rounds left, eps/delta
+  /// spent, epoch, shard count — and its message is empty (counters come
+  /// from Metrics()). What a remote analyst dashboards instead of the
   /// C++-only accessors.
   AnswerEnvelope Stats();
 

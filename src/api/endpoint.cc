@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/table_printer.h"
 #include "erm/glm_oracle.h"
 #include "erm/noisy_gradient_oracle.h"
 #include "erm/nonprivate_oracle.h"
@@ -184,7 +183,6 @@ AnswerEnvelope ServerEndpoint::HandleStats(const StatsRequest& request) {
   AnswerEnvelope envelope =
       GateVersion(request.version, request.request_id, "stats request");
   if (!envelope.ok()) return envelope;
-  envelope.message = Report();
   // The live budget view, through the same locked reads Finish uses.
   envelope.meta.hard_rounds_remaining = quota_->HardRoundsRemaining();
   const dp::PrivacyParams spent =
@@ -262,10 +260,6 @@ AnswerEnvelope ServerEndpoint::HandleHello(const HelloRequest& request) {
     return envelope;
   }
   return envelope;
-}
-
-AnswerEnvelope ServerEndpoint::HandleSync(QueryRequest request) {
-  return Handle(std::move(request)).get();
 }
 
 namespace {
@@ -354,27 +348,6 @@ std::vector<ServerEndpoint::ArrivalRecord> ServerEndpoint::ArrivalLog()
     log.push_back(it->second);
   }
   return log;
-}
-
-std::string ServerEndpoint::Report() const {
-  std::vector<std::string> header = frontend::DispatcherStats::TableHeader();
-  std::vector<std::string> row = dispatcher_->stats().TableRow();
-  for (const char* column : {"enc", "dec", "dec_err", "b_in", "b_out"}) {
-    header.push_back(column);
-  }
-  row.push_back(
-      TablePrinter::FmtInt(codec_counters_.frames_encoded->Value()));
-  row.push_back(
-      TablePrinter::FmtInt(codec_counters_.frames_decoded->Value()));
-  row.push_back(
-      TablePrinter::FmtInt(codec_counters_.decode_errors->Value()));
-  row.push_back(TablePrinter::FmtInt(codec_counters_.bytes_in->Value()));
-  row.push_back(TablePrinter::FmtInt(codec_counters_.bytes_out->Value()));
-  TablePrinter table(std::move(header));
-  table.AddRow(std::move(row));
-  // Both stats views read only the registry: Report() is also the payload
-  // of the stats RPC, which runs while the writer keeps serving.
-  return table.ToString() + service_->stats().Report();
 }
 
 }  // namespace api

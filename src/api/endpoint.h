@@ -141,12 +141,12 @@ class ServerEndpoint {
   /// correlation contract of the batched wire call. Thread-safe.
   std::vector<std::future<AnswerEnvelope>> HandleBatch(QueryRequest request);
 
-  /// Serves a typed stats/budget poll: the reply envelope's message is
-  /// Report() and its meta carries the live remaining-budget view
-  /// (hard rounds left, eps/delta spent, epoch, shard count). Zero
-  /// privacy cost — stats never touch the mechanism. Thread-safe; may
-  /// be called while the writer keeps serving (all reads go through
-  /// locks or atomics).
+  /// Serves a typed stats/budget poll: the reply envelope's meta carries
+  /// the live remaining-budget view (hard rounds left, eps/delta spent,
+  /// epoch, shard count) and its message is empty — every serving
+  /// counter is in the metrics scrape under its own name. Zero privacy
+  /// cost — stats never touch the mechanism. Thread-safe; may be called
+  /// while the writer keeps serving (all reads go through locks).
   AnswerEnvelope HandleStats(const StatsRequest& request);
 
   /// Serves a metrics scrape: the reply's message is the registry's
@@ -173,9 +173,6 @@ class ServerEndpoint {
   /// demand a successful hello before serving any other frame.
   bool requires_hello() const { return !options_.auth_token.empty(); }
 
-  /// Handle + wait: for transports and tests that want the envelope now.
-  AnswerEnvelope HandleSync(QueryRequest request);
-
   /// Stops accepting work, drains the queue, joins the dispatcher.
   /// Idempotent.
   void Shutdown();
@@ -200,10 +197,6 @@ class ServerEndpoint {
   const obs::Registry& registry() const { return registry_; }
   /// The trace ring the kTraceRequest RPC reads.
   obs::TraceRecorder& trace_recorder() { return traces_; }
-
-  /// Front-door stats: the DispatcherStats table extended with this
-  /// endpoint's codec/transport counters, plus the serving report.
-  std::string Report() const;
 
  private:
   AnswerEnvelope Finish(uint8_t version, uint64_t request_id,

@@ -58,10 +58,11 @@ struct QueryRequest {
 };
 
 /// A typed stats/budget poll (api::Client::Stats): resolves with an
-/// AnswerEnvelope whose message is the endpoint's Report() text and
-/// whose ServingMeta carries the live remaining-budget view — what a
-/// remote analyst dashboards without C++ access to dp::BudgetView.
-/// Costs zero privacy: stats never touch the mechanism.
+/// AnswerEnvelope whose ServingMeta carries the live remaining-budget
+/// view — what a remote analyst dashboards without C++ access to
+/// dp::BudgetView. The message is empty: serving counters travel in the
+/// metrics scrape (MetricsRequest). Costs zero privacy: stats never
+/// touch the mechanism.
 struct StatsRequest {
   uint8_t version = kProtocolVersion;
   std::string analyst_id;

@@ -211,7 +211,8 @@ Status Combiner::ReplayInto(Worker* worker, api::ShardRpcOp upto) {
   // strictly before the op about to be retried. (A kReweigh retry needs
   // nothing: phase 1 re-issues cleanly at a matching seq. Snapshots only
   // run between updates.)
-  if (upto == api::ShardRpcOp::kPartials || upto == api::ShardRpcOp::kNormalize) {
+  if (upto == api::ShardRpcOp::kPartials ||
+      upto == api::ShardRpcOp::kNormalize) {
     status = phase_rpc(api::ShardRpcOp::kReweigh, update_seq_, current_);
     if (!status.ok()) return status;
   }

@@ -23,23 +23,6 @@ void RunningStats::Add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-RunningStats RunningStats::FromMoments(long long count, double sum,
-                                       double sumsq, double min,
-                                       double max) {
-  RunningStats stats;
-  if (count <= 0) return stats;
-  stats.count_ = count;
-  stats.sum_ = sum;
-  stats.mean_ = sum / static_cast<double>(count);
-  // m2 = sum (x - mean)^2 = sumsq - count * mean^2, clamped against
-  // cancellation noise.
-  stats.m2_ = std::max(
-      0.0, sumsq - static_cast<double>(count) * stats.mean_ * stats.mean_);
-  stats.min_ = min;
-  stats.max_ = max;
-  return stats;
-}
-
 double RunningStats::mean() const { return count_ > 0 ? mean_ : 0.0; }
 
 double RunningStats::variance() const {

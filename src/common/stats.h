@@ -13,14 +13,6 @@ class RunningStats {
  public:
   void Add(double x);
 
-  /// Reconstructs the stats from exact streamed moments (count, sum,
-  /// sum of squares, extrema) — what rebuilds a RunningStats view from
-  /// an obs::Histogram scrape without replaying observations. mean()
-  /// and sum() are exact; variance() matches Add-accumulation up to
-  /// floating-point rearrangement.
-  static RunningStats FromMoments(long long count, double sum,
-                                  double sumsq, double min, double max);
-
   long long count() const { return count_; }
   double mean() const;
   /// Unbiased sample variance (0 when fewer than two observations).

@@ -152,8 +152,9 @@ std::vector<HypothesisShard> PartitionDomain(int size, int shards);
 /// subsystem's shard-group worker processes). The hypothesis keeps the
 /// partition and the per-shard reduction cells, so BOTH combines (the
 /// max fold and the fixed-tree normalizer fold) run on the single-writer
-/// thread in the same order whatever the storage. Each phase call covers every shard
-/// of the storage; outputs are indexed by shard, in shard order.
+/// thread in the same order whatever the storage. Each phase call covers
+/// every shard of the storage; outputs are indexed by shard, in shard
+/// order.
 ///
 /// Determinism contract: a delegate holding dense state must perform
 /// exactly DenseSlice's arithmetic — in practice, run DenseSlice itself,

@@ -33,10 +33,9 @@ Histogram ProductDistribution(const Universe& universe,
 /// with the given biases and P(label=+1 | x) = sigmoid(<theta_star, x> /
 /// temperature). Universe rows with label 0 are treated as unlabeled and get
 /// the plain product mass. Used for regression/classification workloads.
-Histogram LogisticModelDistribution(const Universe& universe,
-                                    const std::vector<double>& theta_star,
-                                    const std::vector<double>& coordinate_biases,
-                                    double temperature);
+Histogram LogisticModelDistribution(
+    const Universe& universe, const std::vector<double>& theta_star,
+    const std::vector<double>& coordinate_biases, double temperature);
 
 /// A mixture of Gaussian-like bumps centred at `centers`:
 /// p(x) proportional to sum_c exp(-||features(x) - center_c||^2 / width).

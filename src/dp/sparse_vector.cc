@@ -22,8 +22,9 @@ SparseVector::SparseVector(const Options& options, uint64_t seed)
     // pure eps_epoch-DP; advanced composition (paper Theorem 3.10) across
     // the T epochs with eps_epoch = eps / sqrt(8 T ln(2/delta)) keeps the
     // total within (eps, delta) whenever eps <= 4 ln(2/delta).
-    double eps_epoch = options.privacy.epsilon /
-                       std::sqrt(8.0 * t * std::log(2.0 / options.privacy.delta));
+    double eps_epoch =
+        options.privacy.epsilon /
+        std::sqrt(8.0 * t * std::log(2.0 / options.privacy.delta));
     threshold_scale_ = 2.0 * delta_q / eps_epoch;
     query_scale_ = 4.0 * delta_q / eps_epoch;
   } else {

@@ -10,7 +10,8 @@
 namespace pmw {
 namespace erm {
 
-NoisyGradientOracle::NoisyGradientOracle(NoisyGradientOptions options) : options_(options) {
+NoisyGradientOracle::NoisyGradientOracle(NoisyGradientOptions options)
+    : options_(options) {
   PMW_CHECK_GE(options.steps, 1);
 }
 

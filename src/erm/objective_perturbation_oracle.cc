@@ -31,9 +31,9 @@ Result<convex::Vec> ObjectivePerturbationOracle::Solve(
 
   // Half the epsilon pays for the noise vector, half for the ridge slack.
   const double eps_noise = 0.5 * context.privacy.epsilon;
-  const double b_sigma = 2.0 * lipschitz *
-                         std::sqrt(2.0 * std::log(1.25 / context.privacy.delta)) /
-                         eps_noise;
+  const double b_sigma =
+      2.0 * lipschitz *
+      std::sqrt(2.0 * std::log(1.25 / context.privacy.delta)) / eps_noise;
   const double mu =
       2.0 * options_.smoothness_bound /
       (n * std::max(0.5 * context.privacy.epsilon, 1e-12));

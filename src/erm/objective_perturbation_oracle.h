@@ -25,8 +25,9 @@ struct ObjectivePerturbationOptions {
 
 class ObjectivePerturbationOracle : public Oracle {
  public:
-  explicit ObjectivePerturbationOracle(ObjectivePerturbationOptions options = {},
-                                       convex::SolverOptions solver_options = {});
+  explicit ObjectivePerturbationOracle(
+      ObjectivePerturbationOptions options = {},
+      convex::SolverOptions solver_options = {});
 
   /// Requires delta > 0.
   Result<convex::Vec> Solve(const convex::CmQuery& query,

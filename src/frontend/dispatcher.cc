@@ -4,33 +4,9 @@
 
 #include "api/error.h"
 #include "common/check.h"
-#include "common/table_printer.h"
 
 namespace pmw {
 namespace frontend {
-
-std::vector<std::string> DispatcherStats::TableHeader() {
-  return {"submitted", "admitted",  "quota_rej", "shutdown_rej", "deadline",
-          "batches",   "fill_mean", "qwait_us",  "serve_us"};
-}
-
-std::vector<std::string> DispatcherStats::TableRow() const {
-  return {TablePrinter::FmtInt(submitted),
-          TablePrinter::FmtInt(admitted),
-          TablePrinter::FmtInt(quota_rejected),
-          TablePrinter::FmtInt(shutdown_rejected),
-          TablePrinter::FmtInt(deadline_expired),
-          TablePrinter::FmtInt(batches),
-          TablePrinter::Fmt(batch_fill.mean(), 2),
-          TablePrinter::Fmt(queue_wait_us.mean(), 1),
-          TablePrinter::Fmt(serve_us.mean(), 1)};
-}
-
-std::string DispatcherStats::ToString() const {
-  TablePrinter table(TableHeader());
-  table.AddRow(TableRow());
-  return table.ToString();
-}
 
 Dispatcher::Dispatcher(serve::PmwService* service, QuotaManager* quota,
                        const DispatcherOptions& options)
@@ -153,7 +129,7 @@ void Dispatcher::DispatchLoop() {
     }
     if (!expired.empty()) {
       // Count before resolving, so an awoken waiter always observes its
-      // own expiry in stats().
+      // own expiry in pmw_frontend_deadline_expired_total.
       m_.deadline_expired->Add(static_cast<long long>(expired.size()));
       for (Request& request : expired) {
         Served served(api::MakeStatus(
@@ -266,20 +242,6 @@ std::vector<uint64_t> Dispatcher::ArrivalLog() const {
   if (!options_.record_arrival_log) return {};
   std::lock_guard<std::mutex> lock(arrival_log_mutex_);
   return arrival_log_;
-}
-
-DispatcherStats Dispatcher::stats() const {
-  DispatcherStats stats;
-  stats.submitted = m_.submitted->Value();
-  stats.admitted = m_.admitted->Value();
-  stats.quota_rejected = m_.quota_rejected->Value();
-  stats.shutdown_rejected = m_.shutdown_rejected->Value();
-  stats.deadline_expired = m_.deadline_expired->Value();
-  stats.batches = m_.batches->Value();
-  stats.batch_fill = m_.batch_fill->Snap().Moments();
-  stats.queue_wait_us = m_.queue_wait_us->Snap().Moments();
-  stats.serve_us = m_.serve_us->Snap().Moments();
-  return stats;
 }
 
 }  // namespace frontend

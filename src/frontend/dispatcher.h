@@ -39,7 +39,6 @@
 
 #include "common/mpsc_queue.h"
 #include "common/result.h"
-#include "common/stats.h"
 #include "convex/cm_query.h"
 #include "frontend/quota_manager.h"
 #include "obs/metrics.h"
@@ -69,42 +68,6 @@ struct DispatcherOptions {
   obs::TraceRecorder* trace_recorder = nullptr;
 };
 
-/// The dispatcher's counters, as Dispatcher::stats() rebuilds them from
-/// the pmw_frontend_* instruments in the service's metrics registry (the
-/// only place they are stored).
-struct DispatcherStats {
-  long long submitted = 0;
-  long long admitted = 0;
-  /// Rejected by the QuotaManager before entering the queue.
-  long long quota_rejected = 0;
-  /// Rejected because the dispatcher had already shut down.
-  long long shutdown_rejected = 0;
-  /// Admitted requests whose deadline passed while queued; resolved with
-  /// kDeadlineExpired at zero privacy cost (quota slot refunded, never
-  /// served, never logged as an arrival).
-  long long deadline_expired = 0;
-  long long batches = 0;
-  /// Requests per dispatched batch (how well the deadline coalesces).
-  RunningStats batch_fill;
-  /// Server-side latency split, per served request, in microseconds:
-  /// time spent in the MPSC queue before the request's batch formed, and
-  /// wall time of the serving call that answered it (batch-attributed —
-  /// every request in a batch shares its batch's serve time). The same
-  /// numbers ride back to clients per-answer as ServingMeta
-  /// queue_wait_us/serve_us; these are the aggregate moments the stats
-  /// RPC surfaces (RunningStats views of the registry histograms).
-  RunningStats queue_wait_us;
-  RunningStats serve_us;
-
-  /// One row per dispatcher for comparative tables, same convention as
-  /// ServeStats. api::ServerEndpoint::Report() extends the row with
-  /// codec/transport counters.
-  static std::vector<std::string> TableHeader();
-  std::vector<std::string> TableRow() const;
-  /// TableHeader + this dispatcher's TableRow via common/table_printer.
-  std::string ToString() const;
-};
-
 /// What a Submit future resolves with: the released theta (or typed
 /// error) plus the serving metadata the api layer forwards to clients.
 struct Served {
@@ -112,10 +75,11 @@ struct Served {
   /// Meaningful only when the request reached the service (default
   /// elsewhere, e.g. quota/deadline/shutdown rejections).
   serve::QueryOutcome outcome;
-  /// Latency split (see DispatcherStats): queue wait until the request's
-  /// batch formed, and the batch's serving wall time. Zero for requests
-  /// that never reached the queue (quota/shutdown rejections); expired
-  /// requests carry their queue wait with serve_us = 0.
+  /// Latency split, in microseconds (what the pmw_frontend_queue_wait_us
+  /// and pmw_frontend_serve_us histograms observe): queue wait until the
+  /// request's batch formed, and the batch's serving wall time. Zero for
+  /// requests that never reached the queue (quota/shutdown rejections);
+  /// expired requests carry their queue wait with serve_us = 0.
   uint64_t queue_wait_us = 0;
   uint64_t serve_us = 0;
 
@@ -162,9 +126,6 @@ class Dispatcher {
   /// after Shutdown; empty unless options.record_arrival_log.
   std::vector<uint64_t> ArrivalLog() const;
 
-  /// Registry reads only: safe from any thread while serving, and never
-  /// blocks Submit or the dispatcher thread.
-  DispatcherStats stats() const;
   serve::PmwService& service() { return *service_; }
 
  private:

@@ -18,8 +18,6 @@ Status QuotaManager::Admit(const std::string& analyst_id) {
   // dispatcher time are spent. Read outside our lock: the ledger has its
   // own, and this check is monotone (once exhausted, always exhausted).
   if (oracle_view_.exhausted()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++total_rejected_;
     // kHalted, not kQuotaExceeded: the door is predicting the mechanism's
     // own halt from the ledger, so remote callers see the same code a
     // served query would have produced — just earlier and for free.
@@ -33,7 +31,6 @@ Status QuotaManager::Admit(const std::string& analyst_id) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (options_.global_queries > 0 &&
       total_admitted_ >= options_.global_queries) {
-    ++total_rejected_;
     return api::MakeStatus(api::ErrorCode::kQuotaExceeded,
                            "quota: global budget of " +
                                std::to_string(options_.global_queries) +
@@ -42,7 +39,6 @@ Status QuotaManager::Admit(const std::string& analyst_id) {
   long long& count = admitted_[analyst_id];
   if (options_.per_analyst_queries > 0 &&
       count >= options_.per_analyst_queries) {
-    ++total_rejected_;
     return api::MakeStatus(
         api::ErrorCode::kQuotaExceeded,
         "quota: analyst '" + analyst_id + "' exhausted its " +
@@ -70,11 +66,6 @@ long long QuotaManager::admitted(const std::string& analyst_id) const {
 long long QuotaManager::total_admitted() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return total_admitted_;
-}
-
-long long QuotaManager::total_rejected() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return total_rejected_;
 }
 
 }  // namespace frontend

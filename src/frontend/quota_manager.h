@@ -76,14 +76,10 @@ class QuotaManager {
   /// Admitted queries for one analyst (0 for unknown analysts).
   long long admitted(const std::string& analyst_id) const;
   long long total_admitted() const;
-  long long total_rejected() const;
 
   /// Hard rounds (oracle calls / MW updates) left before the sparse
   /// vector halts, per the ledger.
   long long HardRoundsRemaining() const { return oracle_view_.remaining(); }
-  /// Privacy the oracle calls have cost so far (basic composition over
-  /// the ledger's "oracle:" events).
-  dp::PrivacyParams OracleSpent() const { return oracle_view_.Spent(); }
 
   const QuotaOptions& options() const { return options_; }
 
@@ -93,7 +89,6 @@ class QuotaManager {
   mutable std::mutex mutex_;
   std::unordered_map<std::string, long long> admitted_;
   long long total_admitted_ = 0;
-  long long total_rejected_ = 0;
 };
 
 }  // namespace frontend

@@ -198,10 +198,6 @@ double Histogram::Snapshot::Quantile(double q) const {
   return max;
 }
 
-RunningStats Histogram::Snapshot::Moments() const {
-  return RunningStats::FromMoments(count, sum, sumsq, min, max);
-}
-
 Counter* Registry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   std::unique_ptr<Counter>& slot = counters_[name];
@@ -248,17 +244,6 @@ Histogram::Snapshot Registry::HistogramSnap(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = histograms_.find(name);
   return it == histograms_.end() ? Histogram::Snapshot{} : it->second->Snap();
-}
-
-void Registry::ForEachCounter(
-    const std::string& prefix,
-    const std::function<void(const std::string&, long long)>& fn) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = counters_.lower_bound(prefix); it != counters_.end();
-       ++it) {
-    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    fn(it->first, it->second->Value());
-  }
 }
 
 std::string Registry::TextExposition() const {

@@ -31,14 +31,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "common/stats.h"
 
 namespace pmw {
 namespace obs {
@@ -100,9 +97,7 @@ class Gauge {
 /// chosen at registration (log-spaced via LogBuckets for latency-style
 /// metrics) and never change, so bucket counts are plain relaxed atomic
 /// adds. Alongside the buckets the histogram streams count/sum/sumsq/
-/// min/max exactly, which is what lets the RunningStats moments in
-/// serve::ServeStats and frontend::DispatcherStats be rebuilt from the
-/// registry alone (Snapshot::Moments).
+/// min/max exactly; scrapes render them next to the quantiles.
 class Histogram {
  public:
   /// `boundaries` must be strictly increasing; bucket i counts
@@ -132,10 +127,6 @@ class Histogram {
     /// owning bucket, clamped to the observed [min, max]. Deterministic
     /// for a fixed snapshot; 0 when empty.
     double Quantile(double q) const;
-
-    /// The streamed moments as a RunningStats (RunningStats::FromMoments:
-    /// count/sum/mean/extrema exact, variance up to float rearrangement).
-    RunningStats Moments() const;
   };
   Snapshot Snap() const;
 
@@ -171,17 +162,11 @@ class Registry {
                                  const std::string& key,
                                  const std::string& value);
 
-  /// Counter value by exact name; 0 when absent (scrape-side rebuilds
-  /// tolerate not-yet-registered instruments).
+  /// Counter value by exact name; 0 when absent (a reader may scrape
+  /// before the instrument is registered).
   long long CounterValue(const std::string& name) const;
   /// Empty snapshot when absent.
   Histogram::Snapshot HistogramSnap(const std::string& name) const;
-
-  /// Visits every counter whose name starts with `prefix`, in name
-  /// order (what rebuilds labeled per-analyst views from a scrape).
-  void ForEachCounter(
-      const std::string& prefix,
-      const std::function<void(const std::string&, long long)>& fn) const;
 
   /// Prometheus-style text exposition, sorted by name:
   ///   # TYPE pmw_x counter          (once per base name)

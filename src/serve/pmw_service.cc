@@ -4,102 +4,10 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/table_printer.h"
 #include "common/timer.h"
 
 namespace pmw {
 namespace serve {
-namespace {
-
-/// Inverse of obs::Registry::LabeledName's value escaping ('\\' and
-/// '\"'); rebuilds analyst ids when parsing labeled counter names.
-std::string UnescapeLabelValue(const std::string& escaped) {
-  std::string value;
-  value.reserve(escaped.size());
-  for (size_t i = 0; i < escaped.size(); ++i) {
-    if (escaped[i] == '\\' && i + 1 < escaped.size()) ++i;
-    value.push_back(escaped[i]);
-  }
-  return value;
-}
-
-/// Extracts the label value from 'name' given the prefix up to and
-/// including 'analyst="' — the name ends with '"}'.
-bool ParseLabeledAnalyst(const std::string& name, const std::string& prefix,
-                         std::string* analyst) {
-  if (name.size() < prefix.size() + 2) return false;
-  if (name.compare(0, prefix.size(), prefix) != 0) return false;
-  if (name.compare(name.size() - 2, 2, "\"}") != 0) return false;
-  *analyst = UnescapeLabelValue(
-      name.substr(prefix.size(), name.size() - prefix.size() - 2));
-  return true;
-}
-
-}  // namespace
-
-double ServeStats::OverallQueriesPerSec() const {
-  double total_ms = batch_latency_ms.sum();
-  if (total_ms <= 0.0) return 0.0;
-  return static_cast<double>(queries) / (total_ms / 1e3);
-}
-
-double ServeStats::CrossBatchHitRate() const {
-  if (cross_batch_cache_lookups <= 0) return 0.0;
-  return static_cast<double>(cross_batch_cache_hits) /
-         static_cast<double>(cross_batch_cache_lookups);
-}
-
-std::vector<std::string> ServeStats::TableHeader() {
-  return {"queries", "batches", "threads", "shards",  "bottom",
-          "updates", "errors",  "epochs",  "dedup",   "xb_hits",
-          "xb_rate", "mw_ms",   "q/s"};
-}
-
-std::vector<std::string> ServeStats::TableRow() const {
-  return {TablePrinter::FmtInt(queries),
-          TablePrinter::FmtInt(batches),
-          TablePrinter::FmtInt(threads),
-          TablePrinter::FmtInt(shards),
-          TablePrinter::FmtInt(bottom_answers),
-          TablePrinter::FmtInt(updates),
-          TablePrinter::FmtInt(errors),
-          TablePrinter::FmtInt(epochs),
-          TablePrinter::FmtInt(prepare_cache_hits),
-          TablePrinter::FmtInt(cross_batch_cache_hits),
-          TablePrinter::Fmt(CrossBatchHitRate(), 3),
-          TablePrinter::Fmt(mw_update_ms, 2),
-          TablePrinter::Fmt(OverallQueriesPerSec(), 1)};
-}
-
-std::string ServeStats::ToString() const {
-  TablePrinter table(TableHeader());
-  table.AddRow(TableRow());
-  return table.ToString();
-}
-
-std::string ServeStats::Report() const {
-  std::string report = ToString();
-  report += "reprepared=" + std::to_string(reprepared) +
-            " cross_batch_lookups=" +
-            std::to_string(cross_batch_cache_lookups) +
-            " plan_stale_dropped=" + std::to_string(plan_cache_stale_dropped) +
-            "\n";
-  report += "batch latency ms: " + batch_latency_ms.Summary() + "\n";
-  report += "batch queries/sec: " + batch_queries_per_sec.Summary();
-  if (!per_analyst.empty()) {
-    TablePrinter analysts({"analyst", "queries", "updates", "errors"});
-    for (const auto& [analyst, counters] : per_analyst) {
-      analysts.AddRow({analyst, TablePrinter::FmtInt(counters.queries),
-                       TablePrinter::FmtInt(counters.updates),
-                       TablePrinter::FmtInt(counters.errors)});
-    }
-    // Two appends, not `"\n" + ...`: GCC 12 Release builds flag the
-    // temporary's concatenation with a false-positive -Wrestrict.
-    report += '\n';
-    report += analysts.ToString();
-  }
-  return report;
-}
 
 PmwService::PmwService(const data::Dataset* dataset, erm::Oracle* oracle,
                        const core::PmwOptions& options, uint64_t seed,
@@ -184,52 +92,6 @@ PmwService::AnalystHandles& PmwService::HandlesFor(
     it = analyst_handles_.emplace(analyst, handles).first;
   }
   return it->second;
-}
-
-ServeStats PmwService::stats() const {
-  // Instrument loads only: no lock shared with the writer, no per-batch
-  // copy.
-  ServeStats s;
-  s.queries = m_.queries->Value();
-  s.batches = m_.batches->Value();
-  s.bottom_answers = m_.bottom_answers->Value();
-  s.updates = m_.updates->Value();
-  s.prepare_cache_hits = m_.prepare_cache_hits->Value();
-  s.errors = m_.errors->Value();
-  s.epochs = m_.epochs->Value();
-  s.reprepared = m_.reprepared->Value();
-  s.cross_batch_cache_lookups = m_.cross_batch_cache_lookups->Value();
-  s.cross_batch_cache_hits = m_.cross_batch_cache_hits->Value();
-  s.plan_cache_stale_dropped = m_.plan_stale_dropped->Value();
-  s.threads = static_cast<int>(m_.threads->Value());
-  s.shards = static_cast<int>(m_.shards->Value());
-  s.mw_update_ms = m_.mw_update_us->Snap().sum / 1e3;
-  s.batch_latency_ms = m_.batch_latency_ms->Snap().Moments();
-  s.batch_queries_per_sec = m_.batch_queries_per_sec->Snap().Moments();
-  // Labeled analyst counters fold back into the per_analyst map; name
-  // order == deterministic map order. (The writer's handle cache is not
-  // scrape-safe, so the registry's own index is walked instead.)
-  const obs::Registry& reg = *registry_;
-  const std::string kQ = "pmw_serve_analyst_queries_total{analyst=\"";
-  const std::string kU = "pmw_serve_analyst_updates_total{analyst=\"";
-  const std::string kE = "pmw_serve_analyst_errors_total{analyst=\"";
-  std::string analyst;
-  reg.ForEachCounter(kQ, [&](const std::string& name, long long value) {
-    if (ParseLabeledAnalyst(name, kQ, &analyst)) {
-      s.per_analyst[analyst].queries = value;
-    }
-  });
-  reg.ForEachCounter(kU, [&](const std::string& name, long long value) {
-    if (ParseLabeledAnalyst(name, kU, &analyst)) {
-      s.per_analyst[analyst].updates = value;
-    }
-  });
-  reg.ForEachCounter(kE, [&](const std::string& name, long long value) {
-    if (ParseLabeledAnalyst(name, kE, &analyst)) {
-      s.per_analyst[analyst].errors = value;
-    }
-  });
-  return s;
 }
 
 std::shared_ptr<const core::HypothesisSnapshot> PmwService::PublishAndPrepare(

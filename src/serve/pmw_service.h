@@ -46,7 +46,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/stats.h"
 #include "common/thread_pool.h"
 #include "core/pmw_cm.h"
 #include "obs/metrics.h"
@@ -91,81 +90,6 @@ struct ServeOptions {
   /// transcripts stay bit-identical either way (core/sharded_hypothesis.h
   /// keeps both cross-shard folds on the serving writer).
   core::HypothesisDelegate* hypothesis_delegate = nullptr;
-};
-
-/// Serving counters, as PmwService::stats() rebuilds them from the
-/// service's metrics registry (the only place they are stored).
-/// Latency/throughput moments are common/stats.h RunningStats views of
-/// the registry histograms.
-struct ServeStats {
-  /// Per-analyst slice of the counters, keyed by the tags a front-end
-  /// passes to AnswerBatch (empty when serving untagged traffic).
-  struct AnalystCounters {
-    long long queries = 0;
-    /// Hard rounds this analyst's queries triggered (privacy-relevant:
-    /// each one is an oracle call).
-    long long updates = 0;
-    long long errors = 0;
-  };
-
-  RunningStats batch_latency_ms;
-  RunningStats batch_queries_per_sec;
-  long long queries = 0;
-  long long batches = 0;
-  /// kBottom answers: served from the hypothesis, no privacy cost.
-  long long bottom_answers = 0;
-  /// kTop answers: oracle call + MW update.
-  long long updates = 0;
-  /// Queries whose PreparedQuery was shared with an earlier identical
-  /// query in the same prepared range (same loss/domain, same epoch);
-  /// dedup happens before sharding, so repeats amortize identically at
-  /// every thread count.
-  long long prepare_cache_hits = 0;
-  /// Error statuses returned to clients (halted / budget exhausted).
-  long long errors = 0;
-  /// Epochs published (one per batch start + one per mid-batch update):
-  /// the pmw_serve_epochs_total counter.
-  long long epochs = 0;
-  /// Distinct plans recomputed in parallel after a mid-batch epoch
-  /// advance (repeats of an already-recomputed query are cache hits).
-  long long reprepared = 0;
-  /// Cross-batch plan cache: distinct queries probed / served from the
-  /// attached PlanCache (zero when none is attached). Unlike
-  /// prepare_cache_hits these survive between AnswerBatch calls.
-  long long cross_batch_cache_lookups = 0;
-  long long cross_batch_cache_hits = 0;
-  /// Cached plans dropped on probe because they were prepared at an
-  /// older hypothesis version.
-  long long plan_cache_stale_dropped = 0;
-  /// Worker threads serving shards (1 = inline).
-  int threads = 1;
-  /// Domain shards the hypothesis is partitioned into (after clamping).
-  int shards = 1;
-  /// MW-update-path wall time summed over every hard round (payoff +
-  /// reweigh/renormalize, the work the domain shards parallelize; oracle
-  /// solves excluded): the sum of the pmw_serve_mw_update_us histogram,
-  /// which observes core::AnswerTiming::mw_us once per hard round.
-  double mw_update_ms = 0.0;
-  /// Per-analyst counters (populated by the tagged AnswerBatch overload).
-  std::map<std::string, AnalystCounters> per_analyst;
-
-  double OverallQueriesPerSec() const;
-  /// Fraction of cross-batch lookups served from the cache (0 when the
-  /// cache saw no traffic).
-  double CrossBatchHitRate() const;
-
-  /// One row per service for comparative tables (benches print several
-  /// services side by side). Header and row are aligned column-for-column
-  /// so callers never hand-format counters again.
-  static std::vector<std::string> TableHeader();
-  std::vector<std::string> TableRow() const;
-  /// The single-service table: TableHeader + this service's TableRow,
-  /// rendered with common/table_printer.
-  std::string ToString() const;
-
-  /// Multi-line report: the table plus latency moments and the
-  /// per-analyst breakdown.
-  std::string Report() const;
 };
 
 /// Per-query serving outcome, positionally aligned with AnswerBatch's
@@ -216,8 +140,9 @@ class PmwService {
 
   /// Tagged overload: `analyst_ids` is positionally aligned with
   /// `queries` (same size, or empty for untagged) and attributes each
-  /// query's outcome to its analyst in stats().per_analyst. Tags never
-  /// influence answers — they are bookkeeping only.
+  /// query's outcome to its analyst in the labeled registry counters
+  /// pmw_serve_analyst_{queries,updates,errors}_total{analyst="..."}.
+  /// Tags never influence answers — they are bookkeeping only.
   std::vector<Result<convex::Vec>> AnswerBatch(
       std::span<const convex::CmQuery> queries,
       std::span<const std::string> analyst_ids);
@@ -242,13 +167,12 @@ class PmwService {
 
   core::PmwCm& mechanism() { return cm_; }
   const core::PmwCm& mechanism() const { return cm_; }
-  /// The serving counters, rebuilt from registry reads alone — safe from
-  /// any thread while the writer keeps serving (the stats RPC) and never
-  /// blocks it. Each value is torn-free; the set may straddle a batch
-  /// (the metrics-scrape contract). Exact once serving quiesces.
-  ServeStats stats() const;
   /// The metrics registry the service records into (its own unless
-  /// ServeOptions::registry injected one). Scrape-safe from any thread.
+  /// ServeOptions::registry injected one) and the only store of its
+  /// counters: read them by name (Registry::CounterValue,
+  /// HistogramSnap). Scrape-safe from any thread and never blocks the
+  /// writer; each value is torn-free, the set may straddle a batch, and
+  /// it is exact once serving quiesces.
   obs::Registry& registry() { return *registry_; }
   const obs::Registry& registry() const { return *registry_; }
   /// Domain shards the hypothesis is partitioned into (after clamping).
@@ -266,15 +190,23 @@ class PmwService {
       ShardExecutor::PrepareResult* prepared);
 
   /// Registry handles resolved once at construction (instrument pointers
-  /// are stable for the registry's lifetime).
+  /// are stable for the registry's lifetime). The metric names are bound
+  /// in the constructor.
   struct Instruments {
     obs::Counter* queries = nullptr;
     obs::Counter* batches = nullptr;
+    /// kBottom answers: served from the hypothesis, no privacy cost.
     obs::Counter* bottom_answers = nullptr;
+    /// kTop answers (hard rounds): oracle call + MW update.
     obs::Counter* updates = nullptr;
+    /// Queries sharing a plan with an earlier identical query in the same
+    /// prepared range (dedup precedes sharding).
     obs::Counter* prepare_cache_hits = nullptr;
+    /// Error statuses returned (halted / budget exhausted).
     obs::Counter* errors = nullptr;
+    /// Epochs published: one per batch start + one per mid-batch update.
     obs::Counter* epochs = nullptr;
+    /// Distinct plans re-prepared after a mid-batch epoch advance.
     obs::Counter* reprepared = nullptr;
     obs::Counter* cross_batch_cache_lookups = nullptr;
     obs::Counter* cross_batch_cache_hits = nullptr;

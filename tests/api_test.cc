@@ -109,11 +109,11 @@ TEST(ApiErrorTest, TaxonomyIsLosslessOverCanonicalStatuses) {
 
 TEST(ApiErrorTest, LegacyStatusesClassifyAsDocumented) {
   // What the lower layers emit today, verbatim.
-  EXPECT_EQ(ClassifyStatus(
-                Status::Halted("pmw-cm: sparse vector exhausted its T updates")),
+  EXPECT_EQ(ClassifyStatus(Status::Halted(
+                "pmw-cm: sparse vector exhausted its T updates")),
             ErrorCode::kHalted);
-  EXPECT_EQ(ClassifyStatus(
-                Status::ResourceExhausted("pmw-cm: k queries already answered")),
+  EXPECT_EQ(ClassifyStatus(Status::ResourceExhausted(
+                "pmw-cm: k queries already answered")),
             ErrorCode::kBudgetExhausted);
   EXPECT_EQ(ClassifyStatus(Status::ResourceExhausted(
                 "quota: analyst 'a' exhausted its 3-query quota")),
@@ -180,10 +180,11 @@ TEST_F(ApiTest, InProcessCallsMatchSequentialMechanismBitForBit) {
   EXPECT_EQ(endpoint.codec_counters().frames_encoded->Value(), 2 * 40);
   EXPECT_EQ(endpoint.codec_counters().frames_decoded->Value(), 2 * 40);
   EXPECT_EQ(endpoint.codec_counters().decode_errors->Value(), 0);
-  // And the combined stats table surfaces them.
-  const std::string report = endpoint.Report();
-  EXPECT_NE(report.find("enc"), std::string::npos);
-  EXPECT_NE(report.find("80"), std::string::npos);
+  // And the registry carries them under their metric names.
+  EXPECT_EQ(endpoint.registry().CounterValue("pmw_api_frames_encoded_total"),
+            2 * 40);
+  EXPECT_EQ(endpoint.registry().CounterValue("pmw_api_frames_decoded_total"),
+            2 * 40);
 }
 
 TEST_F(ApiTest, ProtocolRejectionsAreTypedAndFree) {
@@ -276,7 +277,7 @@ TEST_F(ApiTest, StatsRpcExposesReportAndBudgetView) {
   InProcessTransport transport(&endpoint, /*verify_codec=*/true);
   Client client(&transport, "poller");
 
-  // Drive some traffic so the report has content.
+  // Drive some traffic so the counters have content.
   for (int j = 0; j < 8; ++j) {
     ASSERT_TRUE(client.Call(names_[static_cast<size_t>(j) %
                                    names_.size()]).ok());
@@ -287,20 +288,32 @@ TEST_F(ApiTest, StatsRpcExposesReportAndBudgetView) {
 
   AnswerEnvelope stats = client.Stats();
   ASSERT_TRUE(stats.ok()) << stats.message;
-  // The report rode back as the message: dispatcher table + serve table.
-  EXPECT_NE(stats.message.find("submitted"), std::string::npos);
-  EXPECT_NE(stats.message.find("shards"), std::string::npos);
+  // The stats reply carries the budget view alone: no report rides in
+  // the message.
+  EXPECT_TRUE(stats.message.empty()) << stats.message;
   // The budget view matches the C++-side accessors.
   EXPECT_EQ(stats.meta.hard_rounds_remaining,
             endpoint.quota().HardRoundsRemaining());
-  EXPECT_EQ(stats.meta.epsilon_spent,
-            endpoint.service().mechanism().ledger().BasicTotal().epsilon);
+  const dp::PrivacyParams spent =
+      endpoint.service().mechanism().ledger().BasicTotal();
+  EXPECT_EQ(stats.meta.epsilon_spent, spent.epsilon);
+  EXPECT_EQ(stats.meta.delta_spent, spent.delta);
   EXPECT_EQ(stats.meta.shards, 2u);
   EXPECT_EQ(stats.meta.epoch,
             static_cast<uint64_t>(
                 endpoint.service().mechanism().hypothesis_version()));
 
-  // Stats polls are free: no ledger event, no k-query slot.
+  // The serving counters come from the Metrics RPC on the same endpoint,
+  // each under its own metric name, the per-analyst slices included.
+  AnswerEnvelope metrics = client.Metrics();
+  ASSERT_TRUE(metrics.ok()) << metrics.message;
+  EXPECT_NE(metrics.message.find("\npmw_frontend_submitted_total 8\n"),
+            std::string::npos);
+  EXPECT_NE(metrics.message.find(
+                "\npmw_serve_analyst_queries_total{analyst=\"poller\"} 8\n"),
+            std::string::npos);
+
+  // Stats and metrics polls are free: no ledger event, no k-query slot.
   EXPECT_EQ(endpoint.service().mechanism().ledger().event_count(), events);
   EXPECT_EQ(endpoint.service().mechanism().queries_answered(), answered);
   endpoint.Shutdown();
@@ -442,7 +455,7 @@ TEST_F(ApiTest, BatchedCallsAndStatsWorkThroughARealSocket) {
 
   AnswerEnvelope stats = client.Stats();
   ASSERT_TRUE(stats.ok()) << stats.message;
-  EXPECT_NE(stats.message.find("submitted"), std::string::npos);
+  EXPECT_TRUE(stats.message.empty()) << stats.message;
   EXPECT_EQ(stats.meta.shards, 4u);
   EXPECT_EQ(endpoint.service().mechanism().queries_answered(),
             static_cast<long long>(batch.size()));
@@ -628,7 +641,7 @@ TEST_F(ApiTest, EveryHandlerRejectsForeignVersionsAlike) {
          request.analyst_id = "alien";
          request.request_id = request_id;
          request.query_name = names_[0];
-         return endpoint.HandleSync(request);
+         return endpoint.Handle(request).get();
        }},
       {"stats",
        [&](uint8_t version, uint64_t request_id) {

@@ -287,7 +287,8 @@ TEST_F(CoreTest, FailureInjectionDegradesAccuracy) {
     auto a = clean.AnswerQuery(qa);
     if (a.ok()) {
       clean_max = std::max(
-          clean_max, error_oracle_.AnswerError(qa, data_hist_, a.value().theta));
+          clean_max,
+          error_oracle_.AnswerError(qa, data_hist_, a.value().theta));
     }
     auto qb = family_b.Next(&rng_b);
     auto b = corrupted.AnswerQuery(qb);

@@ -78,8 +78,8 @@ TEST(ExponentialMechanismTest, GumbelSamplingMatchesSoftmaxRatios) {
   for (int i = 0; i < trials; ++i) {
     count1 += ExponentialMechanism(scores, sens, eps, &rng);
   }
-  double expected =
-      std::exp(eps * 0.3 / (2 * sens)) / (1.0 + std::exp(eps * 0.3 / (2 * sens)));
+  double expected = std::exp(eps * 0.3 / (2 * sens)) /
+                    (1.0 + std::exp(eps * 0.3 / (2 * sens)));
   EXPECT_NEAR(static_cast<double>(count1) / trials, expected, 0.01);
 }
 

@@ -20,6 +20,7 @@
 #include "erm/nonprivate_oracle.h"
 #include "gtest/gtest.h"
 #include "losses/loss_family.h"
+#include "obs/metrics.h"
 #include "serve/pmw_service.h"
 #include "serve/shard_executor.h"
 
@@ -139,9 +140,11 @@ TEST_F(EpochStateTest, EpochsAdvanceMonotonicallyAcrossMidBatchUpdates) {
   // One publish per batch start plus one per mid-batch update (an update
   // on a batch's last query has no suffix to re-prepare), so publishes
   // dominate both counters.
-  const ServeStats stats = service.stats();
-  EXPECT_GE(stats.epochs, stats.batches);
-  EXPECT_GE(stats.epochs, stats.updates);
+  const obs::Registry& registry = service.registry();
+  const long long epochs = registry.CounterValue("pmw_serve_epochs_total");
+  EXPECT_EQ(registry.CounterValue("pmw_serve_batches_total"), 4);
+  EXPECT_GE(epochs, 4);
+  EXPECT_GE(epochs, registry.CounterValue("pmw_serve_updates_total"));
 }
 
 TEST_F(EpochStateTest, PublishedSnapshotsEqualAFreshSnapshotAtTheirVersion) {

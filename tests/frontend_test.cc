@@ -43,6 +43,7 @@
 #include "frontend/quota_manager.h"
 #include "gtest/gtest.h"
 #include "losses/loss_family.h"
+#include "obs/metrics.h"
 #include "serve/plan_cache.h"
 #include "serve/pmw_service.h"
 
@@ -113,21 +114,29 @@ TEST_F(FrontendTest, TranscriptMatchesSequentialReplayOfArrivalLog) {
   dispatcher_options.record_arrival_log = true;
   Dispatcher dispatcher(&service, &quota, dispatcher_options);
 
-  // A live scraper reads both registry-backed stats views until Shutdown
-  // returns; observability must never race the writer or touch the
-  // transcript.
+  // A live scraper reads both layers' counters from the registry by
+  // name until Shutdown returns; observability must never race the
+  // writer or touch the transcript.
+  const obs::Registry& registry = service.registry();
   std::atomic<bool> serving{true};
-  std::thread scraper([&dispatcher, &service, &serving] {
+  std::thread scraper([&registry, &serving] {
     long long submitted = 0;
     long long queries = 0;
+    long long waits = 0;
     while (serving.load(std::memory_order_acquire)) {
       // Counters never run backwards under a live scrape.
-      const long long now_submitted = dispatcher.stats().submitted;
-      const long long now_queries = service.stats().queries;
+      const long long now_submitted =
+          registry.CounterValue("pmw_frontend_submitted_total");
+      const long long now_queries =
+          registry.CounterValue("pmw_serve_queries_total");
+      const long long now_waits =
+          registry.HistogramSnap("pmw_frontend_queue_wait_us").count;
       EXPECT_GE(now_submitted, submitted);
       EXPECT_GE(now_queries, queries);
+      EXPECT_GE(now_waits, waits);
       submitted = now_submitted;
       queries = now_queries;
+      waits = now_waits;
     }
   });
 
@@ -202,21 +211,38 @@ TEST_F(FrontendTest, TranscriptMatchesSequentialReplayOfArrivalLog) {
   EXPECT_EQ(service.mechanism().queries_answered(),
             sequential.queries_answered());
 
-  // Analyst tags flowed through to the per-analyst stats slice.
-  const serve::ServeStats stats = service.stats();
-  ASSERT_EQ(stats.per_analyst.size(), static_cast<size_t>(kAnalysts));
-  long long tagged = 0;
-  for (const auto& [analyst, counters] : stats.per_analyst) {
-    EXPECT_EQ(counters.queries, kQueriesPerAnalyst) << analyst;
-    tagged += counters.queries;
+  // Analyst tags flowed through to the labeled per-analyst counters, and
+  // the four analysts account for every query and every hard round.
+  const auto analyst_count = [&registry](const std::string& base,
+                                         const std::string& analyst) {
+    return registry.CounterValue(
+        obs::Registry::LabeledName(base, "analyst", analyst));
+  };
+  long long tagged_queries = 0;
+  long long tagged_updates = 0;
+  long long tagged_errors = 0;
+  for (int a = 0; a < kAnalysts; ++a) {
+    const std::string analyst = "analyst-" + std::to_string(a);
+    EXPECT_EQ(analyst_count("pmw_serve_analyst_queries_total", analyst),
+              kQueriesPerAnalyst)
+        << analyst;
+    tagged_queries +=
+        analyst_count("pmw_serve_analyst_queries_total", analyst);
+    tagged_updates +=
+        analyst_count("pmw_serve_analyst_updates_total", analyst);
+    tagged_errors += analyst_count("pmw_serve_analyst_errors_total", analyst);
   }
-  EXPECT_EQ(tagged, stats.queries);
+  EXPECT_EQ(tagged_queries, registry.CounterValue("pmw_serve_queries_total"));
+  EXPECT_EQ(tagged_updates, registry.CounterValue("pmw_serve_updates_total"));
+  EXPECT_EQ(tagged_updates, service.mechanism().update_count());
+  EXPECT_EQ(tagged_errors, registry.CounterValue("pmw_serve_errors_total"));
 
-  DispatcherStats dstats = dispatcher.stats();
-  EXPECT_EQ(dstats.submitted, kAnalysts * kQueriesPerAnalyst);
-  EXPECT_EQ(dstats.admitted, kAnalysts * kQueriesPerAnalyst);
-  EXPECT_EQ(dstats.quota_rejected, 0);
-  EXPECT_GT(dstats.batches, 0);
+  EXPECT_EQ(registry.CounterValue("pmw_frontend_submitted_total"),
+            kAnalysts * kQueriesPerAnalyst);
+  EXPECT_EQ(registry.CounterValue("pmw_frontend_admitted_total"),
+            kAnalysts * kQueriesPerAnalyst);
+  EXPECT_EQ(registry.CounterValue("pmw_frontend_quota_rejected_total"), 0);
+  EXPECT_GT(registry.CounterValue("pmw_frontend_batches_total"), 0);
 }
 
 TEST_F(FrontendTest, QuotaRejectionConsumesZeroPrivacyBudget) {
@@ -259,8 +285,9 @@ TEST_F(FrontendTest, QuotaRejectionConsumesZeroPrivacyBudget) {
             spent_before.delta);
   EXPECT_EQ(service.mechanism().queries_answered(), answered_before);
   EXPECT_EQ(quota.admitted("bounded-analyst"), 3);
-  EXPECT_EQ(quota.total_rejected(), 5);
-  EXPECT_EQ(dispatcher.stats().quota_rejected, 5);
+  EXPECT_EQ(
+      service.registry().CounterValue("pmw_frontend_quota_rejected_total"),
+      5);
 }
 
 TEST_F(FrontendTest, RefundReturnsAnAdmittedSlot) {
@@ -327,18 +354,18 @@ TEST_F(FrontendTest, PlanCacheHitsAcrossBatchesAndDropsStalePlans) {
   service.set_plan_cache(&cache);
 
   std::vector<convex::CmQuery> batch(pool_.begin(), pool_.begin() + 4);
+  const obs::Registry& registry = service.registry();
   service.AnswerBatch(batch);
-  EXPECT_EQ(service.stats().cross_batch_cache_hits, 0);
+  EXPECT_EQ(registry.CounterValue("pmw_serve_cross_batch_hits_total"), 0);
   EXPECT_EQ(cache.size(), 4u);
 
   // Same queries, next batch: every distinct plan is served from the
   // cache — zero solver work in the prepare phase.
   service.AnswerBatch(batch);
-  const serve::ServeStats stats = service.stats();
-  EXPECT_EQ(stats.cross_batch_cache_hits, 4);
-  EXPECT_EQ(stats.cross_batch_cache_lookups, 8);
-  EXPECT_EQ(stats.CrossBatchHitRate(), 0.5);
-  EXPECT_EQ(stats.plan_cache_stale_dropped, 0);
+  EXPECT_EQ(registry.CounterValue("pmw_serve_cross_batch_hits_total"), 4);
+  EXPECT_EQ(registry.CounterValue("pmw_serve_cross_batch_lookups_total"), 8);
+  EXPECT_EQ(registry.CounterValue("pmw_frontend_plan_stale_dropped_total"),
+            0);
   EXPECT_EQ(cache.size(), 4u);
   const int version = service.mechanism().hypothesis_version();
   EXPECT_EQ(service.epochs().Current()->version, version);
@@ -371,8 +398,9 @@ TEST_F(FrontendTest, PlanCacheHitsAcrossBatchesAndDropsStalePlans) {
   // The service's next batch re-prepares the dropped queries as plain
   // misses and re-caches them; the two surviving entries still hit.
   service.AnswerBatch(batch);
-  EXPECT_EQ(service.stats().cross_batch_cache_hits, 6);
-  EXPECT_EQ(service.stats().plan_cache_stale_dropped, 0);
+  EXPECT_EQ(registry.CounterValue("pmw_serve_cross_batch_hits_total"), 6);
+  EXPECT_EQ(registry.CounterValue("pmw_frontend_plan_stale_dropped_total"),
+            0);
   EXPECT_EQ(cache.size(), 4u);
 }
 
@@ -403,10 +431,10 @@ TEST_F(FrontendTest, PlanCacheStaysCoherentThroughHardRounds) {
   EXPECT_GT(service.mechanism().update_count(), 0);
   // Repeats amortized across batches; hard rounds moved the version, so
   // re-probed old plans were dropped as stale.
-  const serve::ServeStats stats = service.stats();
-  EXPECT_GT(stats.cross_batch_cache_hits, 0);
-  EXPECT_GT(stats.CrossBatchHitRate(), 0.0);
-  EXPECT_GT(stats.plan_cache_stale_dropped, 0);
+  const obs::Registry& registry = service.registry();
+  EXPECT_GT(registry.CounterValue("pmw_serve_cross_batch_hits_total"), 0);
+  EXPECT_GT(registry.CounterValue("pmw_frontend_plan_stale_dropped_total"),
+            0);
 }
 
 TEST(PlanCacheTest, FullCacheRefusesNewKeysButKeepsServingResidents) {
@@ -488,7 +516,9 @@ TEST_F(FrontendTest, SubmitAfterShutdownResolvesWithTypedError) {
       dispatcher.Submit("late-analyst", pool_[0]).get().answer;
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(dispatcher.stats().shutdown_rejected, 1);
+  EXPECT_EQ(
+      service.registry().CounterValue("pmw_frontend_shutdown_rejected_total"),
+      1);
   // Shutdown is idempotent.
   dispatcher.Shutdown();
 }
@@ -532,7 +562,9 @@ TEST_F(FrontendTest, ExpiredDeadlineResolvesTypedAtZeroPrivacyCost) {
             spent_before.delta);
   EXPECT_EQ(service.mechanism().queries_answered(), answered_before);
   EXPECT_EQ(quota.admitted("deadline-analyst"), admitted_before);
-  EXPECT_EQ(dispatcher.stats().deadline_expired, 1);
+  EXPECT_EQ(
+      service.registry().CounterValue("pmw_frontend_deadline_expired_total"),
+      1);
 
   // A roomy deadline serves normally (and still counts one expiry only).
   const auto roomy =
@@ -540,7 +572,9 @@ TEST_F(FrontendTest, ExpiredDeadlineResolvesTypedAtZeroPrivacyCost) {
   EXPECT_TRUE(
       dispatcher.Submit(analyst, pool_[2], nullptr, roomy).get().answer.ok());
   dispatcher.Shutdown();
-  EXPECT_EQ(dispatcher.stats().deadline_expired, 1);
+  EXPECT_EQ(
+      service.registry().CounterValue("pmw_frontend_deadline_expired_total"),
+      1);
 }
 
 // Regression pin for the refund audit in dispatcher.cc: the two
@@ -580,7 +614,9 @@ TEST_F(FrontendTest, DeadlineExpiryRefundsExactlyOneQuotaSlot) {
     EXPECT_EQ(quota.admitted("refund-analyst"), 2)
         << "expiry #" << i << " did not refund exactly one slot";
   }
-  EXPECT_EQ(dispatcher.stats().deadline_expired, 3);
+  EXPECT_EQ(
+      service.registry().CounterValue("pmw_frontend_deadline_expired_total"),
+      3);
   EXPECT_EQ(quota.total_admitted(), 2);
 
   // Exactly two slots remain: two more serves fill the quota of 4, and
@@ -629,7 +665,8 @@ TEST_F(FrontendTest, BackpressureOnTinyQueueStillServesEverything) {
   dispatcher.Shutdown();
 
   EXPECT_EQ(ok_count.load(), kThreads * kPerThread);
-  EXPECT_EQ(service.stats().queries, kThreads * kPerThread);
+  EXPECT_EQ(service.registry().CounterValue("pmw_serve_queries_total"),
+            kThreads * kPerThread);
 }
 
 }  // namespace

@@ -243,8 +243,8 @@ TEST(TikhonovLossTest, GradientMatchesFiniteDifferences) {
 
 TEST(LinearQueryLossTest, MinimizerIsQueryAnswer) {
   // For l = (theta - p(x))^2/2, the empirical minimizer is E[p(x)].
-  LinearQueryLoss loss([](const data::Row& r) { return r.label > 0 ? 1.0 : 0.0; },
-                       "label");
+  LinearQueryLoss loss(
+      [](const data::Row& r) { return r.label > 0 ? 1.0 : 0.0; }, "label");
   data::Row pos = MakeRow({1.0}, 1.0);
   data::Row neg = MakeRow({1.0}, -1.0);
   // Mixture 30% positive: minimize 0.3*(t-1)^2/2 + 0.7*t^2/2 -> t = 0.3.
@@ -262,8 +262,9 @@ TEST(LinearQueryLossTest, MinimizerIsQueryAnswer) {
 }
 
 TEST(LinearQueryLossTest, GradientCorrect) {
-  LinearQueryLoss loss([](const data::Row& r) { return r.features[0] > 0 ? 1.0 : 0.0; },
-                       "feat0");
+  LinearQueryLoss loss(
+      [](const data::Row& r) { return r.features[0] > 0 ? 1.0 : 0.0; },
+      "feat0");
   data::Row row = MakeRow({0.5}, 0.0);
   Vec theta = {0.4};
   Vec g = loss.Gradient(theta, row);

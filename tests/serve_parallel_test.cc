@@ -28,6 +28,7 @@
 #include "erm/nonprivate_oracle.h"
 #include "gtest/gtest.h"
 #include "losses/loss_family.h"
+#include "obs/metrics.h"
 #include "serve/pmw_service.h"
 
 namespace pmw {
@@ -249,16 +250,20 @@ TEST(ServeParallelTest, EpochAdvancesWithUpdatesAndBatches) {
                      serve_options);
   service.AnswerBatch(workload);
 
-  const ServeStats stats = service.stats();
-  EXPECT_EQ(stats.threads, 2);
+  const obs::Registry& registry = service.registry();
+  EXPECT_NE(registry.TextExposition().find("\npmw_serve_threads 2\n"),
+            std::string::npos);
+  const long long updates = registry.CounterValue("pmw_serve_updates_total");
+  EXPECT_EQ(updates, service.mechanism().update_count());
   // One publish at batch start plus one per mid-batch update (except an
   // update on the very last query, which has no suffix to re-prepare).
-  EXPECT_GE(stats.epochs, 1 + stats.updates - 1);
+  EXPECT_GE(registry.CounterValue("pmw_serve_epochs_total"), updates);
   ASSERT_NE(service.epochs().Current(), nullptr);
   EXPECT_EQ(service.epochs().Current()->version,
             service.mechanism().hypothesis_version());
-  EXPECT_EQ(stats.bottom_answers + stats.updates + stats.errors,
-            stats.queries);
+  EXPECT_EQ(registry.CounterValue("pmw_serve_bottom_total") + updates +
+                registry.CounterValue("pmw_serve_errors_total"),
+            registry.CounterValue("pmw_serve_queries_total"));
 }
 
 TEST(ServeParallelTest, ShardCacheStillAmortizesRepeats) {
@@ -283,10 +288,11 @@ TEST(ServeParallelTest, ShardCacheStillAmortizesRepeats) {
 
   // Dedup precedes sharding: at most 4 distinct plans are computed per
   // epoch regardless of thread count; everything else must be a hit.
-  const ServeStats stats = service.stats();
-  long long epochs = stats.epochs;
-  EXPECT_GE(stats.prepare_cache_hits, 64 - 4 * epochs);
-  EXPECT_GT(stats.prepare_cache_hits, 0);
+  const obs::Registry& registry = service.registry();
+  const long long hits =
+      registry.CounterValue("pmw_serve_prepare_cache_hits_total");
+  EXPECT_GE(hits, 64 - 4 * registry.CounterValue("pmw_serve_epochs_total"));
+  EXPECT_GT(hits, 0);
 }
 
 }  // namespace

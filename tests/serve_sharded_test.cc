@@ -29,6 +29,7 @@
 #include "erm/noisy_gradient_oracle.h"
 #include "gtest/gtest.h"
 #include "losses/loss_family.h"
+#include "obs/metrics.h"
 #include "serve/pmw_service.h"
 
 namespace pmw {
@@ -99,14 +100,16 @@ Transcript RunSharded(const data::Dataset& dataset,
   t.update_count = service.mechanism().update_count();
   t.queries_answered = service.mechanism().queries_answered();
   t.halted = service.mechanism().halted();
-  t.plan_cache_hits = service.stats().cross_batch_cache_hits;
-  t.plan_cache_stale = service.stats().plan_cache_stale_dropped;
+  t.plan_cache_hits =
+      service.registry().CounterValue("pmw_serve_cross_batch_hits_total");
+  t.plan_cache_stale = service.registry().CounterValue(
+      "pmw_frontend_plan_stale_dropped_total");
   return t;
 }
 
 /// Like RunSharded, but recording per-query spans and — when `scrape` —
-/// running a concurrent scraper thread that hammers the registry
-/// exposition and the registry-backed stats() the whole run.
+/// running a concurrent scraper thread that hammers the registry's
+/// exposition and reads its counters by name the whole run.
 /// Observability must never touch the transcript, so the result must be
 /// bit-identical to every other configuration.
 Transcript RunShardedObserved(const data::Dataset& dataset,
@@ -124,10 +127,20 @@ Transcript RunShardedObserved(const data::Dataset& dataset,
   std::thread scraper;
   if (scrape) {
     scraper = std::thread([&service, &stop] {
+      const obs::Registry& registry = service.registry();
+      long long queries = 0;
+      long long updates = 0;
       while (!stop.load(std::memory_order_acquire)) {
-        EXPECT_FALSE(service.registry().TextExposition().empty());
-        const ServeStats stats = service.stats();
-        EXPECT_GE(stats.queries, 0);
+        EXPECT_FALSE(registry.TextExposition().empty());
+        // Counters never run backwards under a live scrape.
+        const long long now_queries =
+            registry.CounterValue("pmw_serve_queries_total");
+        const long long now_updates =
+            registry.CounterValue("pmw_serve_updates_total");
+        EXPECT_GE(now_queries, queries);
+        EXPECT_GE(now_updates, updates);
+        queries = now_queries;
+        updates = now_updates;
       }
     });
   }
@@ -277,7 +290,7 @@ TEST_P(ServeShardedPropertyTest, HaltTranscriptsMatchUnderShards) {
 
 TEST_P(ServeShardedPropertyTest, ObservabilityNeverTouchesTheTranscript) {
   // The observability invariant: span recording, with or without a
-  // scraper thread reading the registry and the registry-backed stats()
+  // scraper thread reading the registry's exposition and counters
   // the whole run, never changes answers, the ledger, or commit order.
   const uint64_t seed = 8800 + static_cast<uint64_t>(GetParam());
   Transcript want =
@@ -343,7 +356,9 @@ TEST(ServeShardedTest, ShardCountClampsAndReportsInStats) {
   PmwService rounded(&dataset, &oracle, PracticalOptions(), 1,
                      serve_options);
   EXPECT_EQ(rounded.num_shards(), 2);
-  EXPECT_EQ(rounded.stats().shards, 2);
+  EXPECT_NE(
+      rounded.registry().TextExposition().find("\npmw_serve_shards 2\n"),
+      std::string::npos);
 
   serve_options.num_shards = 64;  // clamps to |X| = 16
   PmwService clamped(&dataset, &oracle, PracticalOptions(), 1,
@@ -369,12 +384,14 @@ TEST(ServeShardedTest, PooledShardsObserveEveryMwUpdate) {
                      serve_options);
   service.AnswerBatch(workload);
 
-  const ServeStats stats = service.stats();
-  ASSERT_GT(stats.updates, 0) << "workload never fired a hard round";
+  const obs::Registry& registry = service.registry();
+  const long long updates = registry.CounterValue("pmw_serve_updates_total");
+  ASSERT_GT(updates, 0) << "workload never fired a hard round";
   // One MW-update observation per hard round.
-  EXPECT_EQ(service.registry().HistogramSnap("pmw_serve_mw_update_us").count,
-            stats.updates);
-  EXPECT_GE(stats.mw_update_ms, 0.0);
+  const obs::Histogram::Snapshot mw =
+      registry.HistogramSnap("pmw_serve_mw_update_us");
+  EXPECT_EQ(mw.count, updates);
+  EXPECT_GE(mw.sum, 0.0);
 }
 
 }  // namespace

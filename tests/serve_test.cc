@@ -15,6 +15,7 @@
 #include "erm/nonprivate_oracle.h"
 #include "gtest/gtest.h"
 #include "losses/loss_family.h"
+#include "obs/metrics.h"
 #include "serve/pmw_service.h"
 
 namespace pmw {
@@ -137,16 +138,20 @@ TEST_F(ServeTest, BatchAmortizesRepeatedQueries) {
   std::vector<Result<convex::Vec>> results = service.AnswerBatch(workload);
 
   ASSERT_EQ(results.size(), workload.size());
-  const ServeStats stats = service.stats();
-  EXPECT_EQ(stats.queries, 64);
-  EXPECT_EQ(stats.batches, 1);
+  const obs::Registry& registry = service.registry();
+  EXPECT_EQ(registry.CounterValue("pmw_serve_queries_total"), 64);
+  EXPECT_EQ(registry.CounterValue("pmw_serve_batches_total"), 1);
   // With 4 distinct queries and no mid-batch update, at most
   // pool * (updates + 1) plans are computed; everything else is a hit.
-  EXPECT_GE(stats.prepare_cache_hits,
+  EXPECT_GE(registry.CounterValue("pmw_serve_prepare_cache_hits_total"),
             64 - 4 * (service.mechanism().update_count() + 1));
-  EXPECT_EQ(stats.bottom_answers + stats.updates + stats.errors,
-            stats.queries);
-  EXPECT_EQ(stats.batch_latency_ms.count(), 1);
+  EXPECT_EQ(registry.CounterValue("pmw_serve_updates_total"),
+            service.mechanism().update_count());
+  EXPECT_EQ(registry.CounterValue("pmw_serve_bottom_total") +
+                registry.CounterValue("pmw_serve_updates_total") +
+                registry.CounterValue("pmw_serve_errors_total"),
+            64);
+  EXPECT_EQ(registry.HistogramSnap("pmw_serve_batch_latency_ms").count, 1);
 }
 
 TEST_F(ServeTest, PerQueryErrorsMatchSequentialAfterHalt) {
@@ -174,26 +179,6 @@ TEST_F(ServeTest, PerQueryErrorsMatchSequentialAfterHalt) {
     }
   }
   EXPECT_EQ(service.mechanism().halted(), sequential.halted());
-}
-
-TEST_F(ServeTest, StatsReportMentionsThroughput) {
-  losses::LipschitzFamily family(3);
-  Rng rng(3);
-  std::vector<convex::CmQuery> workload = family.Generate(8, &rng);
-
-  erm::NonPrivateOracle oracle;
-  PmwService service(&dataset_, &oracle, PracticalOptions(), 99);
-  service.AnswerBatch(workload);
-
-  // Report embeds the one-row counter table (ToString) plus the latency
-  // moments; the table header and the query count must both show up.
-  std::string report = service.stats().Report();
-  EXPECT_NE(report.find("queries/sec"), std::string::npos);
-  EXPECT_NE(report.find("q/s"), std::string::npos);
-  std::string table = service.stats().ToString();
-  EXPECT_NE(table.find("queries"), std::string::npos);
-  EXPECT_NE(table.find("8"), std::string::npos);
-  EXPECT_NE(report.find(table), std::string::npos);
 }
 
 TEST_F(ServeTest, SingleQueryAnswerMatchesBatchOfOne) {
