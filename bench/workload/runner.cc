@@ -359,8 +359,6 @@ api::ServerOptions MakeServerOptions(const ScenarioSpec& spec,
   server.quota.per_analyst_queries = spec.per_analyst_quota;
   server.dispatcher.queue_capacity = 1024;
   server.dispatcher.max_batch = spec.max_batch;
-  server.dispatcher.max_wait =
-      std::chrono::microseconds(static_cast<int64_t>(spec.max_wait_us));
   server.oracle = options.oracle;
   server.record_arrival_log = options.record_arrival_log;
   // Scrape-time SLO burn gauges (obs/slo.h): the scenario's client-side
@@ -603,8 +601,6 @@ std::string ScenarioResult::ToJson() const {
       .Set("catalog_queries", JsonValue::Int(spec.catalog_queries))
       .Set("max_batch",
            JsonValue::Int(static_cast<long long>(spec.max_batch)))
-      .Set("max_wait_us",
-           JsonValue::Int(static_cast<long long>(spec.max_wait_us)))
       .Set("backend", JsonValue::Str(BackendName(spec.backend)))
       .Set("solver_max_iters", JsonValue::Int(spec.solver_max_iters))
       .Set("shard_groups", JsonValue::Int(spec.shard_groups))

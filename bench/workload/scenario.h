@@ -48,7 +48,6 @@ struct ScenarioSpec {
   int serve_threads = 0;
   int shards = 1;
   size_t max_batch = 64;
-  uint64_t max_wait_us = 200;
   /// Per-analyst admission quota; 0 means unlimited.
   long long per_analyst_quota = 0;
   /// Hypothesis storage backend (maps to

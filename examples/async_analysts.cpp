@@ -4,10 +4,11 @@
 // in-process transport into the ServerEndpoint, where a QuotaManager
 // admits or rejects at the door (typed kQuotaExceeded, zero privacy
 // cost — the ledger never sees rejected queries), a bounded MPSC queue
-// fixes the arrival order, and a dispatcher thread coalesces requests
-// into batches for the single-writer serving engine. An epoch-keyed plan
-// cache reuses per-query solver work across batches until a hard round
-// moves the hypothesis.
+// fixes the arrival order, and a dispatcher thread hands the
+// single-writer serving engine whatever queued while it served the last
+// batch (group commit: no linger, so a lone request is served at once).
+// An epoch-keyed plan cache reuses per-query solver work across batches
+// until a hard round moves the hypothesis.
 //
 // One analyst is latency-sensitive and stamps a deadline on every call:
 // requests that would wait too long resolve kDeadlineExpired — also at
@@ -42,7 +43,8 @@ int main() {
   auto names = catalog.Populate(workload, 16, /*seed=*/2, "pool/");
 
   // Front door: 40-query per-analyst quota, 2 prepare workers, and a
-  // dispatcher that flushes at 32 requests or 500us, whichever first.
+  // dispatcher that batches up to 32 requests by group commit: each batch
+  // is what queued while the previous one was served.
   api::ServerOptions options;
   options.mechanism.alpha = 0.15;
   options.mechanism.privacy = {1.0, 1e-6};
@@ -52,7 +54,6 @@ int main() {
   options.serve.num_threads = 2;
   options.quota.per_analyst_queries = 40;
   options.dispatcher.max_batch = 32;
-  options.dispatcher.max_wait = std::chrono::microseconds(500);
   api::ServerEndpoint server(&dataset, &catalog, options, /*seed=*/1);
   api::InProcessTransport transport(&server);
 

@@ -183,13 +183,7 @@ AnswerEnvelope ServerEndpoint::HandleStats(const StatsRequest& request) {
   AnswerEnvelope envelope =
       GateVersion(request.version, request.request_id, "stats request");
   if (!envelope.ok()) return envelope;
-  // The live budget view, through the same locked reads Finish uses.
-  envelope.meta.hard_rounds_remaining = quota_->HardRoundsRemaining();
-  const dp::PrivacyParams spent =
-      service_->mechanism().ledger().BasicTotal();
-  envelope.meta.epsilon_spent = spent.epsilon;
-  envelope.meta.delta_spent = spent.delta;
-  envelope.meta.shards = static_cast<uint32_t>(service_->num_shards());
+  FillBudgetView(&envelope.meta);
   // The epoch holder is the mutex-guarded view of the hypothesis
   // version (the live counter belongs to the serving writer).
   std::shared_ptr<const core::HypothesisSnapshot> snapshot =
@@ -316,22 +310,26 @@ AnswerEnvelope ServerEndpoint::Finish(uint8_t version, uint64_t request_id,
       arrivals_.erase(dispatch_id);
     }
   }
-  // The remaining-budget view: what the ledger says has been spent, and
-  // how many hard rounds are left before the sparse vector halts. Both
-  // reads go through the ledger's own lock, so any completion thread may
-  // assemble envelopes while the writer keeps serving. The shard count
-  // is fixed at construction, so reading it here is race-free too.
-  envelope.meta.hard_rounds_remaining = quota_->HardRoundsRemaining();
-  const dp::PrivacyParams spent =
-      service_->mechanism().ledger().BasicTotal();
-  envelope.meta.epsilon_spent = spent.epsilon;
-  envelope.meta.delta_spent = spent.delta;
-  envelope.meta.shards = static_cast<uint32_t>(service_->num_shards());
+  FillBudgetView(&envelope.meta);
   // The server-side latency split the dispatcher measured; zero when the
   // request never reached the queue.
   envelope.meta.queue_wait_us = served.queue_wait_us;
   envelope.meta.serve_us = served.serve_us;
   return envelope;
+}
+
+void ServerEndpoint::FillBudgetView(ServingMeta* meta) const {
+  // What the ledger says has been spent, and how many hard rounds are
+  // left before the sparse vector halts. Both reads go through the
+  // ledger's own lock, so any completion thread may assemble envelopes
+  // while the writer keeps serving. The shard count is fixed at
+  // construction, so reading it here is race-free too.
+  meta->hard_rounds_remaining = quota_->HardRoundsRemaining();
+  const dp::PrivacyParams spent =
+      service_->mechanism().ledger().BasicTotal();
+  meta->epsilon_spent = spent.epsilon;
+  meta->delta_spent = spent.delta;
+  meta->shards = static_cast<uint32_t>(service_->num_shards());
 }
 
 void ServerEndpoint::Shutdown() { dispatcher_->Shutdown(); }

@@ -201,6 +201,10 @@ class ServerEndpoint {
  private:
   AnswerEnvelope Finish(uint8_t version, uint64_t request_id,
                         uint64_t dispatch_id, frontend::Served served);
+  /// Fills the remaining-budget view (hard rounds left, ledger epsilon
+  /// and delta spent, shard count) that every reply and the stats RPC
+  /// carry.
+  void FillBudgetView(ServingMeta* meta) const;
   std::future<AnswerEnvelope> Ready(AnswerEnvelope envelope);
 
   const QueryCatalog* catalog_;

@@ -6,7 +6,9 @@
 // Lock discipline is deliberately minimal rather than lock-free: one
 // mutex and two condition variables, with the consumer amortizing the
 // lock over a whole batch (PopBatch drains every available item under a
-// single acquisition) instead of paying it per element. Producers only
+// single acquisition) instead of paying it per element. The consumer
+// never waits for a batch to fill: batches form only from what queued up
+// while the consumer was busy (group commit). Producers only
 // contend on push, and the arrival order the consumer observes is the
 // queue's FIFO order — which is what makes the front-end's transcripts
 // replayable: per-producer program order is preserved, and the global
@@ -21,7 +23,6 @@
 #ifndef PMWCM_COMMON_MPSC_QUEUE_H_
 #define PMWCM_COMMON_MPSC_QUEUE_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -61,44 +62,27 @@ class MpscQueue {
   }
 
   /// Consumer side (one thread). Blocks until at least one item is
-  /// available (or the queue is closed and drained), then appends up to
-  /// `max_items` to `*out`. After the first item arrives the consumer
-  /// lingers up to `max_wait` for the batch to fill — the dispatcher's
-  /// flush-on-max-batch-or-deadline policy — so a burst coalesces into
-  /// one batch while a lone request still flushes promptly. Returns false
-  /// only when the queue is closed and empty (the drain is complete).
-  bool PopBatch(std::vector<T>* out, size_t max_items,
-                std::chrono::microseconds max_wait) {
+  /// available (or the queue is closed and drained), then moves up to
+  /// `max_items` of what is already queued to `*out` and returns at once.
+  /// It never lingers for more: this is the dispatcher's group commit, so
+  /// a batch holds exactly what arrived while the writer was busy with the
+  /// previous one, and a request reaching an idle writer is served alone.
+  /// Returns false only when the queue is closed and empty (the drain is
+  /// complete).
+  bool PopBatch(std::vector<T>* out, size_t max_items) {
     PMW_CHECK_GE(max_items, size_t{1});
-    size_t popped = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       can_pop_.wait(lock, [this] { return !items_.empty() || closed_; });
       if (items_.empty()) return false;  // closed and fully drained
-      const auto deadline = std::chrono::steady_clock::now() + max_wait;
-      for (;;) {
-        const size_t before = popped;
-        while (!items_.empty() && popped < max_items) {
-          out->push_back(std::move(items_.front()));
-          items_.pop_front();
-          ++popped;
-        }
-        // Wake producers *before* lingering: under backpressure the only
-        // way more items can arrive during the linger is if the blocked
-        // pushers learn about the space this drain just freed.
-        if (popped > before) can_push_.notify_all();
-        if (popped >= max_items || closed_ ||
-            max_wait <= std::chrono::microseconds::zero()) {
-          break;
-        }
-        // Linger for more of the batch; a timeout flushes what we have.
-        if (!can_pop_.wait_until(lock, deadline, [this] {
-              return !items_.empty() || closed_;
-            })) {
-          break;
-        }
+      for (size_t popped = 0; !items_.empty() && popped < max_items;
+           ++popped) {
+        out->push_back(std::move(items_.front()));
+        items_.pop_front();
       }
     }
+    // The drain freed space: wake every producer blocked on a full queue.
+    can_push_.notify_all();
     return true;
   }
 

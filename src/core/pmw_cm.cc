@@ -114,25 +114,39 @@ PreparedQuery PmwCm::Prepare(const convex::CmQuery& query) const {
 PreparedQuery PmwCm::Prepare(const convex::CmQuery& query,
                              const HypothesisSnapshot& snapshot,
                              const PreparedQuery* earlier) const {
-  PMW_CHECK(query.loss != nullptr);
-  PMW_CHECK(query.domain != nullptr);
-
-  PreparedQuery prepared;
-  // theta_hat_t = argmin over the public hypothesis (no privacy cost).
-  prepared.theta_hat = error_oracle_.Minimize(query, snapshot.support);
+  HypothesisSide side = PrepareHypothesisSide(query, snapshot);
   // min l_D never depends on the hypothesis: an earlier plan of this
   // query holds the very bits the solve would return.
-  prepared.data_min =
-      earlier != nullptr && !std::isnan(earlier->data_min)
-          ? earlier->data_min
-          : error_oracle_.MinimumValue(query, data_support_);
-  // q_j(D) = err_l(D, D_hat_t) = l_D(theta_hat) - min l_D, clamped at 0
-  // in ErrorOracle::AnswerError's operation order.
-  const double excess =
-      error_oracle_.Loss(query, data_support_, prepared.theta_hat) -
-      prepared.data_min;
-  prepared.query_value = std::max(excess, 0.0);
-  prepared.hypothesis_version = snapshot.version;
+  const double data_min = earlier != nullptr && !std::isnan(earlier->data_min)
+                              ? earlier->data_min
+                              : PrepareDataSide(query);
+  return CombinePlan(std::move(side), data_min);
+}
+
+HypothesisSide PmwCm::PrepareHypothesisSide(
+    const convex::CmQuery& query, const HypothesisSnapshot& snapshot) const {
+  PMW_CHECK(query.loss != nullptr);
+  PMW_CHECK(query.domain != nullptr);
+  HypothesisSide side;
+  // theta_hat_t = argmin over the public hypothesis (no privacy cost).
+  side.theta_hat = error_oracle_.Minimize(query, snapshot.support);
+  side.data_loss = error_oracle_.Loss(query, data_support_, side.theta_hat);
+  side.hypothesis_version = snapshot.version;
+  return side;
+}
+
+double PmwCm::PrepareDataSide(const convex::CmQuery& query) const {
+  PMW_CHECK(query.loss != nullptr);
+  PMW_CHECK(query.domain != nullptr);
+  return error_oracle_.MinimumValue(query, data_support_);
+}
+
+PreparedQuery PmwCm::CombinePlan(HypothesisSide side, double data_min) {
+  PreparedQuery prepared;
+  prepared.theta_hat = std::move(side.theta_hat);
+  prepared.data_min = data_min;
+  prepared.query_value = std::max(side.data_loss - data_min, 0.0);
+  prepared.hypothesis_version = side.hypothesis_version;
   return prepared;
 }
 

@@ -133,6 +133,15 @@ struct PreparedQuery {
   int hypothesis_version = -1;
 };
 
+/// The hypothesis side of a PreparedQuery: theta_hat_t = argmin l_{D_hat_t}
+/// on one snapshot and the dataset's loss at it, l_D(theta_hat_t). The
+/// other side, min l_D, is a plain double; PmwCm::CombinePlan joins them.
+struct HypothesisSide {
+  convex::Vec theta_hat;
+  double data_loss = 0.0;
+  int hypothesis_version = -1;
+};
+
 /// The interactive mechanism. One instance serves one dataset and up to
 /// max_queries adaptively chosen CM queries.
 class PmwCm {
@@ -160,25 +169,40 @@ class PmwCm {
   /// against a stale snapshot yields a plan AnswerPrepared will recompute
   /// rather than trust.
   ///
-  /// The hypothesis side (theta_hat_t = argmin l_{D_hat_t}) is solved on
-  /// every call. The data side (min l_D) is solved only when `earlier` is
-  /// null or its data_min is NaN; otherwise earlier->data_min is reused.
-  /// The caller vouches that `earlier` was prepared for this same query
-  /// by this mechanism (at any version) — serve::PlanCache's key pins
-  /// exactly that. Reuse returns the bits a fresh solve would, so the
-  /// plan is identical either way.
+  /// Prepare is CombinePlan(PrepareHypothesisSide(query, snapshot),
+  /// data_min), where data_min is earlier->data_min when `earlier` is
+  /// non-null and its data_min is not NaN, and PrepareDataSide(query)
+  /// otherwise. The caller vouches that `earlier` was prepared for this
+  /// same query by this mechanism (at any version) — serve::PlanCache's
+  /// key pins exactly that. Reuse returns the bits a fresh solve would,
+  /// so the plan is identical either way.
   ///
-  /// Thread safety: Prepare draws no randomness and touches only state
-  /// that is immutable after construction (the error oracle, the data
-  /// support) plus the caller-supplied snapshot, so any number of threads
-  /// may Prepare concurrently against const snapshots — the epoch-read
-  /// path of serve::PmwService. The snapshot-less overload reads the live
+  /// Thread safety: Prepare and its two halves draw no randomness and
+  /// touch only state that is immutable after construction (the error
+  /// oracle, the data support) plus the caller-supplied snapshot, so any
+  /// number of threads may run them concurrently against const snapshots
+  /// — the epoch-read path of serve::PmwService, which runs a query's two
+  /// halves as separate tasks. The snapshot-less overload reads the live
   /// hypothesis and is NOT safe concurrently with AnswerPrepared; neither
   /// is any concurrent call to AnswerPrepared itself (single writer).
   PreparedQuery Prepare(const convex::CmQuery& query) const;
   PreparedQuery Prepare(const convex::CmQuery& query,
                         const HypothesisSnapshot& snapshot,
                         const PreparedQuery* earlier = nullptr) const;
+
+  /// The hypothesis half of Prepare: theta_hat_t solved on `snapshot`
+  /// and l_D(theta_hat_t), tagged with the snapshot's version.
+  HypothesisSide PrepareHypothesisSide(
+      const convex::CmQuery& query, const HypothesisSnapshot& snapshot) const;
+
+  /// The data half of Prepare: min_theta l_D(theta). It depends only on
+  /// the query and the dataset, never on the hypothesis.
+  double PrepareDataSide(const convex::CmQuery& query) const;
+
+  /// Joins the two halves into a plan: q_j(D) = err_l(D, D_hat_t) =
+  /// max(l_D(theta_hat_t) - min l_D, 0), in ErrorOracle::AnswerError's
+  /// operation order. The one place a plan's query value is formed.
+  static PreparedQuery CombinePlan(HypothesisSide side, double data_min);
 
   /// Answers using a precomputed PreparedQuery. If `prepared` was computed
   /// at an older hypothesis_version() it is ignored and recomputed in

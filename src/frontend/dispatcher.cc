@@ -99,7 +99,7 @@ void Dispatcher::DispatchLoop() {
     live.clear();
     queries.clear();
     tags.clear();
-    if (!queue_.PopBatch(&batch, options_.max_batch, options_.max_wait)) {
+    if (!queue_.PopBatch(&batch, options_.max_batch)) {
       return;  // closed and drained
     }
     // Deadline sweep at the last instant before serving: a request whose

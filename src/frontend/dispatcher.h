@@ -12,14 +12,15 @@
 // Many analyst threads call Submit concurrently; each admitted request
 // enters a bounded MPSC queue (common/mpsc_queue.h) and comes back as a
 // std::future. One dispatcher thread drains the queue into
-// dynamically-sized batches — flushing when max_batch requests have
-// coalesced or the max_wait deadline passes, whichever is first — and
-// feeds them to PmwService::AnswerBatch, which preserves arrival order
-// through its single-writer commit loop. The composition keeps the PR 2
-// guarantee end to end: the transcript (answers + privacy ledger) is
-// bit-identical to feeding the same arrival-ordered sequence through
-// sequential PmwCm (tests/frontend_test.cc replays the recorded arrival
-// log to prove it).
+// dynamically-sized batches by group commit — each batch is whatever
+// queued while the previous one was being served, up to max_batch, and a
+// request reaching an idle dispatcher is served at once, never held back
+// for company — and feeds them to PmwService::AnswerBatch, which
+// preserves arrival order through its single-writer commit loop. The
+// composition keeps the serving layer's guarantee end to end: the
+// transcript (answers + privacy ledger) is bit-identical to feeding the
+// same arrival-ordered sequence through sequential PmwCm
+// (tests/frontend_test.cc replays the recorded arrival log to prove it).
 //
 // Admission control happens in Submit, before the queue: a
 // QuotaManager rejection resolves the future immediately with a typed
@@ -52,10 +53,9 @@ struct DispatcherOptions {
   /// Bound on queued (admitted, not yet served) requests; full-queue
   /// submits block — backpressure, never unbounded growth.
   size_t queue_capacity = 1024;
-  /// Flush a batch at this many requests...
+  /// Cap on requests per batch. A batch carries what queued while the
+  /// previous one was served (group commit); it never waits to fill.
   size_t max_batch = 64;
-  /// ...or this long after the first queued request, whichever is first.
-  std::chrono::microseconds max_wait{500};
   /// Record the ids of committed requests in commit order (ArrivalLog);
   /// tests replay the log through sequential PmwCm.
   bool record_arrival_log = false;

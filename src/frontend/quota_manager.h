@@ -81,8 +81,6 @@ class QuotaManager {
   /// vector halts, per the ledger.
   long long HardRoundsRemaining() const { return oracle_view_.remaining(); }
 
-  const QuotaOptions& options() const { return options_; }
-
  private:
   const QuotaOptions options_;
   dp::BudgetView oracle_view_;

@@ -5,14 +5,17 @@
 //
 //   * Read path (parallel). At batch start the writer publishes an
 //     *epoch*: an immutable compacted snapshot of the hypothesis
-//     (serve/epoch_state.h). A ShardExecutor dedups the batch, splits
-//     its distinct queries into contiguous chunks — at most one per
-//     thread-pool worker — and fork-joins them (common/thread_pool.h's
-//     ForkJoin; chunk 0 on the writer), each chunk prepared against that
-//     snapshot (PmwCm::Prepare: const, deterministic, no randomness).
-//     This is the embarrassingly parallel part: in steady state the
-//     sparse vector answers kBottom and preparation is all the work
-//     there is.
+//     (serve/epoch_state.h). A ShardExecutor dedups the batch and turns
+//     each plan-cache miss into two tasks — its hypothesis side
+//     (theta_hat_t and l_D(theta_hat_t), against that snapshot) and its
+//     data side (min l_D, skipped when a stale cache entry lends it) —
+//     cuts the tasks into contiguous chunks, at most one per thread-pool
+//     worker, and fork-joins them (common/thread_pool.h's ForkJoin;
+//     chunk 0 on the writer). Both halves are const, deterministic and
+//     draw no randomness; the writer joins them with
+//     PmwCm::CombinePlan. This is the embarrassingly parallel part: in
+//     steady state the sparse vector answers kBottom and preparation is
+//     all the work there is.
 //   * Write path (sequential commits, sharded updates). The single
 //     writer then commits queries in arrival order through
 //     PmwCm::AnswerPrepared — sparse-vector noise draws, oracle calls,

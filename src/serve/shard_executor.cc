@@ -1,7 +1,9 @@
 #include "serve/shard_executor.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_map>
+#include <utility>
 
 #include "common/check.h"
 
@@ -74,24 +76,48 @@ ShardExecutor::PrepareResult ShardExecutor::PrepareRange(
   const size_t misses = miss_slots.size();
   if (misses == 0) return result;
 
-  // Fan the missed queries out in contiguous chunks, at most one per pool
-  // worker; each chunk writes a disjoint set of result.plans slots,
-  // sharing nothing but the const snapshot. ForkJoin's join publishes
-  // those writes to this thread.
+  // Each miss is one hypothesis-side task plus one data-side task, unless
+  // a stale cache probe already left the entry's data_min in its slot.
+  // Tasks are laid out miss by miss and cut into contiguous chunks, at
+  // most one per pool worker, so a lone miss solves its two halves side
+  // by side. A hypothesis task writes only sides[u] and a data task only
+  // its slot's data_min, sharing nothing but the const snapshot;
+  // ForkJoin's join publishes those writes to this thread.
+  struct Task {
+    size_t miss;
+    bool data_side;
+  };
+  std::vector<Task> tasks;
+  tasks.reserve(2 * misses);
+  for (size_t u = 0; u < misses; ++u) {
+    tasks.push_back({u, false});
+    if (std::isnan(result.plans[miss_slots[u]].data_min)) {
+      tasks.push_back({u, true});
+    }
+  }
+  std::vector<core::HypothesisSide> sides(misses);
   const size_t workers =
       pool_ != nullptr ? static_cast<size_t>(pool_->size()) : 1;
-  const size_t chunk = (misses + workers - 1) / workers;
-  const int chunks = static_cast<int>((misses + chunk - 1) / chunk);
+  const size_t chunk = (tasks.size() + workers - 1) / workers;
+  const int chunks = static_cast<int>((tasks.size() + chunk - 1) / chunk);
   ForkJoin(pool_, chunks, [&](int s) {
     const size_t lo = static_cast<size_t>(s) * chunk;
-    const size_t hi = std::min(lo + chunk, misses);
-    for (size_t u = lo; u < hi; ++u) {
-      const size_t slot = miss_slots[u];
-      // A stale cache probe left the entry's data_min in the slot.
-      result.plans[slot] = cm_->Prepare(queries[positions[slot]], snapshot,
-                                        &result.plans[slot]);
+    const size_t hi = std::min(lo + chunk, tasks.size());
+    for (size_t t = lo; t < hi; ++t) {
+      const size_t slot = miss_slots[tasks[t].miss];
+      const convex::CmQuery& query = queries[positions[slot]];
+      if (tasks[t].data_side) {
+        result.plans[slot].data_min = cm_->PrepareDataSide(query);
+      } else {
+        sides[tasks[t].miss] = cm_->PrepareHypothesisSide(query, snapshot);
+      }
     }
   });
+  for (size_t u = 0; u < misses; ++u) {
+    const size_t slot = miss_slots[u];
+    result.plans[slot] = core::PmwCm::CombinePlan(
+        std::move(sides[u]), result.plans[slot].data_min);
+  }
 
   // Publish the fresh plans (writer thread, after the join, so the cache
   // never observes a half-written plan).

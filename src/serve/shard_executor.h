@@ -1,24 +1,29 @@
 // Shards a query batch across the calling thread and thread-pool workers
 // and prepares every query against one immutable epoch snapshot.
 //
-// Why this is safe to parallelize: PmwCm::Prepare is const, deterministic,
-// and draws no randomness — each plan is a pure function of (query,
-// snapshot). Sharding therefore cannot change any plan's value, only the
-// wall-clock to compute them; the single-writer commit loop that consumes
-// the plans (serve::PmwService) replays the mechanism's stateful part
-// (sparse-vector draws, oracle calls, MW updates, ledger appends) in
-// canonical arrival order, which is what makes the parallel transcript
-// bit-identical to the sequential one.
+// Why this is safe to parallelize: PmwCm::Prepare and its two halves are
+// const, deterministic, and draw no randomness — each plan is a pure
+// function of (query, snapshot). Sharding therefore cannot change any
+// plan's value, only the wall-clock to compute them; the single-writer
+// commit loop that consumes the plans (serve::PmwService) replays the
+// mechanism's stateful part (sparse-vector draws, oracle calls, MW
+// updates, ledger appends) in canonical arrival order, which is what
+// makes the parallel transcript bit-identical to the sequential one.
 //
 // Dedup happens *before* sharding: one cheap pointer-identity pass over
-// the range collects the distinct queries (PR 1's batch cache, hoisted),
-// the ones the plan cache misses are cut into contiguous chunks, at most
-// one per pool worker, that fork-join through common/thread_pool.h's
-// ForkJoin (chunk 0 on the calling thread, the rest on workers), and
-// each plan is scattered back to every position that asked for it.
-// Cycling workloads — many clients asking overlapping questions —
-// therefore amortize identically at every thread count, and no two
-// chunks compute the same plan regardless of how repeats straddle them.
+// the range collects the distinct queries, and the ones the plan cache
+// misses become tasks. The unit of work is a
+// task, not a whole query: each miss contributes its hypothesis side
+// (theta_hat_t and l_D(theta_hat_t)) and, unless a stale cache entry lent
+// min l_D, its data side, so even a lone cold miss solves its two halves
+// at once. The tasks are cut into contiguous chunks, at most one per pool
+// worker, that fork-join through common/thread_pool.h's ForkJoin (chunk 0
+// on the calling thread, the rest on workers); after the join the writer
+// joins each miss's halves with PmwCm::CombinePlan and scatters the plan
+// back to every position that asked for it. Cycling workloads — many
+// clients asking overlapping questions — therefore amortize identically
+// at every thread count, and no two chunks compute the same half
+// regardless of how repeats straddle them.
 
 #ifndef PMWCM_SERVE_SHARD_EXECUTOR_H_
 #define PMWCM_SERVE_SHARD_EXECUTOR_H_
@@ -69,11 +74,12 @@ class ShardExecutor {
   };
 
   /// Prepares queries[begin, end) against `snapshot`, fanning the
-  /// distinct queries out across the pool. Blocks until every shard
-  /// finishes. A non-null `cache` is probed per distinct query before any
-  /// solver runs (hits skip computation entirely; a stale entry lends its
-  /// data_min, so the recompute solves only the hypothesis side) and fed
-  /// every fresh plan after the shards join — both on the calling thread.
+  /// distinct queries' hypothesis-side and data-side tasks out across the
+  /// pool. Blocks until every chunk finishes. A non-null `cache` is probed
+  /// per distinct query before any solver runs (hits skip computation
+  /// entirely; a stale entry lends its data_min, so the recompute runs
+  /// only the hypothesis-side task) and fed every fresh plan after the
+  /// chunks join — both on the calling thread.
   PrepareResult PrepareRange(std::span<const convex::CmQuery> queries,
                              size_t begin, size_t end,
                              const core::HypothesisSnapshot& snapshot,

@@ -80,7 +80,6 @@ class ApiTest : public ::testing::Test {
     ServerOptions options;
     options.mechanism = PracticalOptions();
     options.dispatcher.max_batch = 16;
-    options.dispatcher.max_wait = std::chrono::microseconds(2000);
     return options;
   }
 

@@ -322,7 +322,6 @@ TEST_F(ClusterTest, FullTcpFrontDoorMatchesSequentialWithAuth) {
   api::ServerOptions options;
   options.mechanism = PracticalOptions();
   options.dispatcher.max_batch = 16;
-  options.dispatcher.max_wait = std::chrono::microseconds(2000);
   options.serve.num_threads = 2;
   options.serve.num_shards = 4;
   options.serve.hypothesis_delegate = &combiner;

@@ -110,7 +110,6 @@ TEST_F(FrontendTest, TranscriptMatchesSequentialReplayOfArrivalLog) {
   service.set_plan_cache(&cache);
   DispatcherOptions dispatcher_options;
   dispatcher_options.max_batch = 16;
-  dispatcher_options.max_wait = std::chrono::microseconds(2000);
   dispatcher_options.record_arrival_log = true;
   Dispatcher dispatcher(&service, &quota, dispatcher_options);
 
@@ -642,7 +641,6 @@ TEST_F(FrontendTest, BackpressureOnTinyQueueStillServesEverything) {
   DispatcherOptions options;
   options.queue_capacity = 2;  // producers must block and retry
   options.max_batch = 4;
-  options.max_wait = std::chrono::microseconds(200);
   Dispatcher dispatcher(&service, nullptr, options);
 
   constexpr int kThreads = 4;

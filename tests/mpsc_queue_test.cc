@@ -1,7 +1,9 @@
 // MpscQueue unit + concurrency tests: FIFO order, bounded backpressure,
-// batch-pop flush policy (max-batch or deadline), close/drain semantics,
-// a rejected push leaving its item untouched, and a many-producers
-// stress run checking per-producer order preservation. The TSan CI job
+// the group-commit pop (a batch is what is already queued, capped at
+// max_items, never a wait for more), each drain waking backpressured
+// producers, close/drain semantics, a rejected push leaving its item
+// untouched, and a many-producers stress run checking per-producer order
+// preservation. The TSan CI job
 // rebuilds this binary, so the queue's synchronization claims are
 // machine-checked.
 
@@ -9,6 +11,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -17,8 +21,6 @@
 
 namespace pmw {
 namespace {
-
-using std::chrono::microseconds;
 
 TEST(MpscQueueTest, FifoOrderThroughBatches) {
   MpscQueue<int> queue(16);
@@ -29,8 +31,8 @@ TEST(MpscQueueTest, FifoOrderThroughBatches) {
   EXPECT_EQ(queue.size(), 10u);
 
   std::vector<int> out;
-  ASSERT_TRUE(queue.PopBatch(&out, 4, microseconds(0)));
-  ASSERT_TRUE(queue.PopBatch(&out, 100, microseconds(0)));
+  ASSERT_TRUE(queue.PopBatch(&out, 4));
+  ASSERT_TRUE(queue.PopBatch(&out, 100));
   ASSERT_EQ(out.size(), 10u);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(out[static_cast<size_t>(i)], i);
@@ -44,7 +46,7 @@ TEST(MpscQueueTest, MaxItemsBoundsTheBatch) {
     ASSERT_TRUE(queue.Push(item));
   }
   std::vector<int> out;
-  ASSERT_TRUE(queue.PopBatch(&out, 4, microseconds(0)));
+  ASSERT_TRUE(queue.PopBatch(&out, 4));
   EXPECT_EQ(out.size(), 4u);
   EXPECT_EQ(queue.size(), 6u);
 }
@@ -62,10 +64,10 @@ TEST(MpscQueueTest, CloseDrainsThenSignalsDone) {
   EXPECT_EQ(late, 99);  // untouched on rejection
 
   std::vector<int> out;
-  ASSERT_TRUE(queue.PopBatch(&out, 100, microseconds(0)));
+  ASSERT_TRUE(queue.PopBatch(&out, 100));
   EXPECT_EQ(out.size(), 3u);
   // Drained: now the consumer learns the stream ended.
-  EXPECT_FALSE(queue.PopBatch(&out, 100, microseconds(0)));
+  EXPECT_FALSE(queue.PopBatch(&out, 100));
 }
 
 TEST(MpscQueueTest, BlockedProducerWakesOnClose) {
@@ -93,7 +95,7 @@ TEST(MpscQueueTest, BlockedConsumerWakesOnPush) {
   std::vector<int> out;
   std::thread consumer([&queue, &out] {
     // Blocks until the producer below delivers.
-    queue.PopBatch(&out, 4, microseconds(0));
+    queue.PopBatch(&out, 4);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   int item = 42;
@@ -103,61 +105,66 @@ TEST(MpscQueueTest, BlockedConsumerWakesOnPush) {
   EXPECT_EQ(out[0], 42);
 }
 
-TEST(MpscQueueTest, DeadlineFlushesPartialBatch) {
+TEST(MpscQueueTest, LoneItemComesBackAlone) {
+  // Group commit: a pop that asks for 8 takes the one queued item and
+  // returns with it instead of waiting for the batch to fill.
   MpscQueue<int> queue(8);
   int item = 7;
   ASSERT_TRUE(queue.Push(item));
   std::vector<int> out;
-  // Asks for 8 but only 1 is coming; the deadline must flush it.
-  ASSERT_TRUE(queue.PopBatch(&out, 8, microseconds(2000)));
-  EXPECT_EQ(out.size(), 1u);
+  ASSERT_TRUE(queue.PopBatch(&out, 8));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], 7);
+  EXPECT_EQ(queue.size(), 0u);
 }
 
-TEST(MpscQueueTest, LingerCoalescesABurstIntoOneBatch) {
-  MpscQueue<int> queue(64);
-  int first = 0;
-  ASSERT_TRUE(queue.Push(first));
-  std::thread producer([&queue] {
-    for (int i = 1; i < 8; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      int item = i;
-      queue.Push(item);
-    }
-  });
-  std::vector<int> out;
-  // A generous deadline lets the trickle coalesce; flush fires on the
-  // max-batch bound, not the clock.
-  ASSERT_TRUE(queue.PopBatch(&out, 8, std::chrono::microseconds(2000000)));
-  producer.join();
-  EXPECT_EQ(out.size(), 8u);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(out[static_cast<size_t>(i)], i);
-  }
-}
-
-TEST(MpscQueueTest, LingerReleasesBackpressuredProducers) {
-  // Regression: the consumer must wake blocked producers for the space a
-  // drain frees *before* lingering, or a backpressured batch could never
-  // grow past the queue capacity and every batch would burn the full
-  // deadline. One PopBatch here must collect more items than the queue
-  // can hold — only possible if pushers run mid-linger.
+TEST(MpscQueueTest, EachDrainWakesBackpressuredProducers) {
+  // A producer pushes 8 items through a capacity-2 queue. The consumer
+  // pauses before each pop, so the producer fills the queue and blocks;
+  // only the drain's wake-up lets it go on. Every batch holds at most
+  // what the queue can (2), and the 8 items arrive in order over
+  // successive pops. A drain that failed to wake the producer would
+  // leave it blocked for good: the watchdog then closes the queue after
+  // 10 s, the pops end early, and the size check fails instead of
+  // hanging.
   MpscQueue<int> queue(2);
-  for (int i = 0; i < 2; ++i) {
-    int item = i;
-    ASSERT_TRUE(queue.Push(item));
-  }
   std::thread producer([&queue] {
-    for (int i = 2; i < 8; ++i) {
+    for (int i = 0; i < 8; ++i) {
       int item = i;
-      queue.Push(item);  // blocks until the consumer frees space
+      if (!queue.Push(item)) return;  // closed by the watchdog
     }
   });
-  std::vector<int> out;
-  ASSERT_TRUE(queue.PopBatch(&out, 8, std::chrono::microseconds(2000000)));
+  std::mutex mutex;
+  std::condition_variable done_cv;
+  bool done = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (!done_cv.wait_for(lock, std::chrono::seconds(10),
+                          [&done] { return done; })) {
+      queue.Close();
+    }
+  });
+
+  std::vector<int> all;
+  std::vector<int> batch;
+  while (all.size() < 8) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    batch.clear();
+    if (!queue.PopBatch(&batch, 8)) break;  // closed and drained
+    EXPECT_LE(batch.size(), 2u);
+    all.insert(all.end(), batch.begin(), batch.end());
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    done = true;
+  }
+  done_cv.notify_all();
+  watchdog.join();
   producer.join();
-  ASSERT_EQ(out.size(), 8u);
+
+  ASSERT_EQ(all.size(), 8u);
   for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(out[static_cast<size_t>(i)], i);
+    EXPECT_EQ(all[static_cast<size_t>(i)], i);
   }
 }
 
@@ -183,13 +190,13 @@ TEST(MpscQueueTest, ManyProducersPreservePerProducerOrder) {
   std::vector<std::pair<int, int>> batch;
   while (all.size() < static_cast<size_t>(kProducers * kPerProducer)) {
     batch.clear();
-    ASSERT_TRUE(queue.PopBatch(&batch, 32, microseconds(100)));
+    ASSERT_TRUE(queue.PopBatch(&batch, 32));
     for (auto& item : batch) all.push_back(item);
   }
   for (std::thread& t : producers) t.join();
   EXPECT_EQ(pushed.load(), kProducers * kPerProducer);
   queue.Close();
-  ASSERT_FALSE(queue.PopBatch(&batch, 1, microseconds(0)));
+  ASSERT_FALSE(queue.PopBatch(&batch, 1));
 
   // Per-producer FIFO: each producer's items appear in submission order
   // (the global interleaving is arbitrary).
