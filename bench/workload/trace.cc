@@ -115,55 +115,61 @@ Result<Trace> ParseTrace(std::string_view text) {
   std::istringstream in{std::string(text)};
   std::string line;
   if (!std::getline(in, line) || line != kHeader) {
-    return Status::InvalidArgument("trace: missing header '" +
-                                   std::string(kHeader) + "'");
+    return Status(StatusCode::kMalformedRequest,
+                  "trace: missing header '" + std::string(kHeader) + "'");
   }
   Trace trace;
   size_t count = 0;
   {
     std::string key;
     if (!std::getline(in, line)) {
-      return Status::InvalidArgument("trace: truncated preamble");
+      return Status(StatusCode::kMalformedRequest,
+                    "trace: truncated preamble");
     }
     std::istringstream fields(line);
     if (!(fields >> key >> trace.scenario) || key != "scenario") {
-      return Status::InvalidArgument("trace: expected 'scenario <name>'");
+      return Status(StatusCode::kMalformedRequest,
+                    "trace: expected 'scenario <name>'");
     }
   }
   {
     std::string key;
     if (!std::getline(in, line)) {
-      return Status::InvalidArgument("trace: truncated preamble");
+      return Status(StatusCode::kMalformedRequest,
+                    "trace: truncated preamble");
     }
     std::istringstream fields(line);
     if (!(fields >> key >> trace.seed) || key != "seed") {
-      return Status::InvalidArgument("trace: expected 'seed <n>'");
+      return Status(StatusCode::kMalformedRequest,
+                    "trace: expected 'seed <n>'");
     }
   }
   {
     std::string key;
     if (!std::getline(in, line)) {
-      return Status::InvalidArgument("trace: truncated preamble");
+      return Status(StatusCode::kMalformedRequest,
+                    "trace: truncated preamble");
     }
     std::istringstream fields(line);
     if (!(fields >> key >> count) || key != "events") {
-      return Status::InvalidArgument("trace: expected 'events <n>'");
+      return Status(StatusCode::kMalformedRequest,
+                    "trace: expected 'events <n>'");
     }
   }
   trace.events.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     if (!std::getline(in, line)) {
-      return Status::InvalidArgument(
-          "trace: expected " + std::to_string(count) + " events, got " +
-          std::to_string(i));
+      return Status(StatusCode::kMalformedRequest,
+                    "trace: expected " + std::to_string(count) +
+                        " events, got " + std::to_string(i));
     }
     TraceEvent event;
     std::istringstream fields(line);
     if (!(fields >> event.arrival_us >> event.analyst >>
           event.deadline_us >> event.query_name)) {
-      return Status::InvalidArgument("trace: malformed event line " +
-                                     std::to_string(i) + ": '" + line +
-                                     "'");
+      return Status(StatusCode::kMalformedRequest,
+                    "trace: malformed event line " + std::to_string(i) +
+                        ": '" + line + "'");
     }
     trace.events.push_back(std::move(event));
   }
@@ -188,7 +194,8 @@ Status WriteTraceFile(const Trace& trace, const std::string& path) {
 Result<Trace> ReadTraceFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
-    return Status::InvalidArgument("trace: cannot open '" + path + "'");
+    return Status(StatusCode::kMalformedRequest,
+                  "trace: cannot open '" + path + "'");
   }
   std::ostringstream text;
   text << in.rdbuf();

@@ -61,7 +61,7 @@ Trace BuildTrace(const ScenarioSpec& spec,
 
 /// Serializes to / parses from the text format above. Format followed by
 /// Parse is the identity; Parse rejects malformed input with
-/// kInvalidArgument.
+/// kMalformedRequest.
 std::string FormatTrace(const Trace& trace);
 Result<Trace> ParseTrace(std::string_view text);
 

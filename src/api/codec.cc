@@ -169,7 +169,7 @@ bool ReadExactScalar(std::string_view payload, T* value) {
 }
 
 Status Malformed(const std::string& detail) {
-  return MakeStatus(ErrorCode::kMalformedRequest, "codec: " + detail);
+  return Status(ErrorCode::kMalformedRequest, "codec: " + detail);
 }
 
 /// Validates the fixed header shared by both message types; on success
@@ -190,7 +190,7 @@ Status OpenFrame(std::string_view frame, uint8_t expected_type,
   }
   const uint8_t version = static_cast<uint8_t>(frame[6]);
   if (version < kMinProtocolVersion || version > kProtocolVersion) {
-    return MakeStatus(
+    return Status(
         ErrorCode::kVersionMismatch,
         "codec: frame speaks protocol version " + std::to_string(version) +
             "; this endpoint speaks [" +

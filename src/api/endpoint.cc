@@ -256,28 +256,6 @@ AnswerEnvelope ServerEndpoint::HandleHello(const HelloRequest& request) {
   return envelope;
 }
 
-namespace {
-
-/// Rejections resolved before a request could ever be committed: their
-/// dispatch ids can never appear in the dispatcher's arrival log.
-/// kHalted is ambiguous — the mechanism's own halt IS a committed
-/// transcript entry, the QuotaManager's door prediction is not — and
-/// the documented "quota:" detail prefix is what tells them apart.
-bool NeverCommitted(ErrorCode error, const std::string& message) {
-  switch (error) {
-    case ErrorCode::kQuotaExceeded:
-    case ErrorCode::kShutdown:
-    case ErrorCode::kDeadlineExpired:
-      return true;
-    case ErrorCode::kHalted:
-      return message.find("quota:") != std::string::npos;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
 AnswerEnvelope ServerEndpoint::Finish(uint8_t version, uint64_t request_id,
                                       uint64_t dispatch_id,
                                       frontend::Served served) {
@@ -297,18 +275,17 @@ AnswerEnvelope ServerEndpoint::Finish(uint8_t version, uint64_t request_id,
     envelope.meta.mw_us = served.outcome.mw_us;
     envelope.meta.commit_us = served.outcome.commit_us;
   } else {
-    envelope.error = ClassifyStatus(served.answer.status());
+    envelope.error = served.answer.status().code();
     envelope.message = served.answer.status().message();
-    // A record whose request was never committed would sit in arrivals_
-    // forever (quota-rejected floods would grow it without bound).
-    // Synchronous rejections reach this erase eagerly in Handle; only a
-    // deferred future abandoned without get() (departed client with an
-    // in-queue expiry) can still skip it — rare and per-event bounded.
-    if (options_.record_arrival_log &&
-        NeverCommitted(envelope.error, envelope.message)) {
-      std::lock_guard<std::mutex> lock(arrivals_mutex_);
-      arrivals_.erase(dispatch_id);
-    }
+  }
+  // A record whose request was never committed would sit in arrivals_
+  // forever (quota-rejected floods would grow it without bound).
+  // Synchronous rejections reach this erase eagerly in Handle; only a
+  // deferred future abandoned without get() (departed client with an
+  // in-queue expiry) can still skip it — rare and per-event bounded.
+  if (options_.record_arrival_log && !served.committed) {
+    std::lock_guard<std::mutex> lock(arrivals_mutex_);
+    arrivals_.erase(dispatch_id);
   }
   FillBudgetView(&envelope.meta);
   // The server-side latency split the dispatcher measured; zero when the

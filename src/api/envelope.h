@@ -233,7 +233,7 @@ struct AnswerEnvelope {
   /// Echo of QueryRequest::request_id (0 when the request could not be
   /// decoded far enough to recover it).
   uint64_t request_id = 0;
-  /// kOk, or the taxonomy code explaining why `answer` is empty.
+  /// kOk, or the code explaining why `answer` is empty.
   ErrorCode error = ErrorCode::kOk;
   /// Human-readable error detail (empty on success).
   std::string message;
@@ -242,8 +242,8 @@ struct AnswerEnvelope {
   ServingMeta meta;
 
   bool ok() const { return error == ErrorCode::kOk; }
-  /// The envelope's error as a Status (Ok for successful answers).
-  Status status() const { return ToStatus(error, message); }
+  /// The envelope's error as a Status (ok() for successful answers).
+  Status status() const { return Status(error, message); }
 };
 
 }  // namespace api

@@ -67,8 +67,8 @@ Status FillUnixAddress(const std::string& path, sockaddr_un* address) {
   std::memset(address, 0, sizeof(*address));
   address->sun_family = AF_UNIX;
   if (path.empty() || path.size() >= sizeof(address->sun_path)) {
-    return MakeStatus(ErrorCode::kTransportError,
-                      "socket path empty or longer than sun_path: " + path);
+    return Status(ErrorCode::kTransportError,
+                  "socket path empty or longer than sun_path: " + path);
   }
   std::memcpy(address->sun_path, path.data(), path.size());
   return Status::Ok();
@@ -82,8 +82,8 @@ Status FillTcpAddress(const std::string& host, uint16_t port,
   // Explicit dotted-quad only — cluster topology is concrete addresses,
   // and a resolver in the serving path would add a blocking dependency.
   if (::inet_pton(AF_INET, host.c_str(), &address->sin_addr) != 1) {
-    return MakeStatus(ErrorCode::kTransportError,
-                      "not an IPv4 dotted-quad address: " + host);
+    return Status(ErrorCode::kTransportError,
+                  "not an IPv4 dotted-quad address: " + host);
   }
   return Status::Ok();
 }
@@ -96,8 +96,8 @@ Result<int> ListenUnix(const std::string& path) {
   if (!addressed.ok()) return addressed;
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) {
-    return MakeStatus(ErrorCode::kTransportError,
-                      "socket() failed: " + std::string(strerror(errno)));
+    return Status(ErrorCode::kTransportError,
+                  "socket() failed: " + std::string(strerror(errno)));
   }
   ::unlink(path.c_str());  // a stale path from a crashed predecessor
   if (::bind(fd, reinterpret_cast<sockaddr*>(&address), sizeof(address)) !=
@@ -105,8 +105,8 @@ Result<int> ListenUnix(const std::string& path) {
       ::listen(fd, 64) != 0) {
     const std::string why = strerror(errno);
     ::close(fd);
-    return MakeStatus(ErrorCode::kTransportError,
-                      "bind/listen on " + path + " failed: " + why);
+    return Status(ErrorCode::kTransportError,
+                  "bind/listen on " + path + " failed: " + why);
   }
   return fd;
 }
@@ -118,8 +118,8 @@ Result<int> ListenTcp(const std::string& host, uint16_t port,
   if (!addressed.ok()) return addressed;
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
-    return MakeStatus(ErrorCode::kTransportError,
-                      "socket() failed: " + std::string(strerror(errno)));
+    return Status(ErrorCode::kTransportError,
+                  "socket() failed: " + std::string(strerror(errno)));
   }
   // Restarted workers must be able to rebind their advertised port while
   // old connections linger in TIME_WAIT — that restart path is the whole
@@ -131,9 +131,9 @@ Result<int> ListenTcp(const std::string& host, uint16_t port,
       ::listen(fd, 64) != 0) {
     const std::string why = strerror(errno);
     ::close(fd);
-    return MakeStatus(ErrorCode::kTransportError,
-                      "bind/listen on " + host + ":" + std::to_string(port) +
-                          " failed: " + why);
+    return Status(ErrorCode::kTransportError,
+                  "bind/listen on " + host + ":" + std::to_string(port) +
+                      " failed: " + why);
   }
   if (bound_port != nullptr) {
     sockaddr_in bound;
@@ -142,8 +142,7 @@ Result<int> ListenTcp(const std::string& host, uint16_t port,
         0) {
       const std::string why = strerror(errno);
       ::close(fd);
-      return MakeStatus(ErrorCode::kTransportError,
-                        "getsockname failed: " + why);
+      return Status(ErrorCode::kTransportError, "getsockname failed: " + why);
     }
     *bound_port = ntohs(bound.sin_port);
   }
@@ -156,15 +155,15 @@ Result<int> ConnectUnix(const std::string& path) {
   if (!addressed.ok()) return addressed;
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) {
-    return MakeStatus(ErrorCode::kTransportError,
-                      "socket() failed: " + std::string(strerror(errno)));
+    return Status(ErrorCode::kTransportError,
+                  "socket() failed: " + std::string(strerror(errno)));
   }
   if (::connect(fd, reinterpret_cast<sockaddr*>(&address), sizeof(address)) !=
       0) {
     const std::string why = strerror(errno);
     ::close(fd);
-    return MakeStatus(ErrorCode::kTransportError,
-                      "connect(" + path + ") failed: " + why);
+    return Status(ErrorCode::kTransportError,
+                  "connect(" + path + ") failed: " + why);
   }
   return fd;
 }
@@ -175,8 +174,8 @@ Result<int> ConnectTcp(const std::string& host, uint16_t port) {
   if (!addressed.ok()) return addressed;
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
-    return MakeStatus(ErrorCode::kTransportError,
-                      "socket() failed: " + std::string(strerror(errno)));
+    return Status(ErrorCode::kTransportError,
+                  "socket() failed: " + std::string(strerror(errno)));
   }
   // The shard RPC path is many small latency-critical frames; Nagle
   // would serialize the MW phase round trips.
@@ -186,7 +185,7 @@ Result<int> ConnectTcp(const std::string& host, uint16_t port) {
       0) {
     const std::string why = strerror(errno);
     ::close(fd);
-    return MakeStatus(
+    return Status(
         ErrorCode::kTransportError,
         "connect(" + host + ":" + std::to_string(port) + ") failed: " + why);
   }

@@ -52,7 +52,7 @@ std::future<AnswerEnvelope> InProcessTransport::Send(QueryRequest request) {
     counters.decode_errors->Add(1);
     AnswerEnvelope envelope;
     envelope.request_id = request.request_id;
-    envelope.error = ClassifyStatus(decoded.status());
+    envelope.error = decoded.status().code();
     envelope.message = decoded.status().message();
     std::promise<AnswerEnvelope> promise;
     promise.set_value(std::move(envelope));
@@ -83,7 +83,7 @@ std::vector<std::future<AnswerEnvelope>> InProcessTransport::SendBatch(
     for (size_t i = 0; i < names; ++i) {
       AnswerEnvelope envelope;
       envelope.request_id = request.request_id + i;
-      envelope.error = ClassifyStatus(decoded.status());
+      envelope.error = decoded.status().code();
       envelope.message = decoded.status().message();
       std::promise<AnswerEnvelope> promise;
       promise.set_value(std::move(envelope));
@@ -120,7 +120,7 @@ std::future<AnswerEnvelope> InProcessTransport::SendStats(
     counters.decode_errors->Add(1);
     AnswerEnvelope envelope;
     envelope.request_id = request.request_id;
-    envelope.error = ClassifyStatus(decoded.status());
+    envelope.error = decoded.status().code();
     envelope.message = decoded.status().message();
     promise.set_value(std::move(envelope));
     return future;
@@ -150,7 +150,7 @@ std::future<AnswerEnvelope> InProcessTransport::SendMetrics(
     counters.decode_errors->Add(1);
     AnswerEnvelope envelope;
     envelope.request_id = request.request_id;
-    envelope.error = ClassifyStatus(decoded.status());
+    envelope.error = decoded.status().code();
     envelope.message = decoded.status().message();
     promise.set_value(std::move(envelope));
     return future;
@@ -180,7 +180,7 @@ std::future<AnswerEnvelope> InProcessTransport::SendTrace(
     counters.decode_errors->Add(1);
     AnswerEnvelope envelope;
     envelope.request_id = request.request_id;
-    envelope.error = ClassifyStatus(decoded.status());
+    envelope.error = decoded.status().code();
     envelope.message = decoded.status().message();
     promise.set_value(std::move(envelope));
     return future;

@@ -41,7 +41,7 @@ class EndpointFrameSink : public FrameSink {
     const auto poll_error = [&](const Status& status) {
       counters.decode_errors->Add(1);
       AnswerEnvelope envelope;
-      envelope.error = ClassifyStatus(status);
+      envelope.error = status.code();
       envelope.message = status.message();
       return envelope;
     };
@@ -238,8 +238,7 @@ StreamTransport::~StreamTransport() { Close(); }
 void StreamTransport::Adopt(Result<int> connected) {
   if (!connected.ok()) {
     // The typed connect error every later Send resolves with — callers
-    // see a taxonomy-tagged kTransportError envelope, never a bare
-    // errno string.
+    // see a kTransportError envelope, never a bare errno string.
     connect_status_ = connected.status();
     return;
   }

@@ -21,8 +21,7 @@
 // and the server's writer waits on reply futures in arrival (FIFO)
 // order — which costs nothing, because the dispatcher resolves them in
 // exactly that order. The client surfaces channel failures as typed
-// kTransportError envelopes, never raw errno text without the taxonomy
-// tag.
+// kTransportError envelopes, never raw errno text without a code.
 //
 // TCP widens the threat model from "same host" to "whoever can reach
 // the port"; ServerOptions::auth_token + the hello frame exist for

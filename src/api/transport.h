@@ -61,9 +61,10 @@ class Transport {
   }
 
   /// Ships a typed stats/budget poll; resolves with an envelope whose
-  /// message is the server's report and whose meta carries the live
-  /// remaining-budget view. The base implementation reports the poll as
-  /// unsupported (a typed kTransportError envelope, never a throw).
+  /// meta carries the live remaining-budget view (its message is empty:
+  /// counters are read through SendMetrics). The base implementation
+  /// reports the poll as unsupported (a typed kTransportError envelope,
+  /// never a throw).
   virtual std::future<AnswerEnvelope> SendStats(StatsRequest request) {
     AnswerEnvelope envelope;
     envelope.request_id = request.request_id;

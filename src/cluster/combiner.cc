@@ -9,6 +9,7 @@
 
 #include "api/error.h"
 #include "cluster/slice_host.h"
+#include "common/check.h"
 
 namespace pmw {
 namespace cluster {
@@ -16,26 +17,28 @@ namespace {
 
 Status Unavailable(const std::string& host, uint16_t port,
                    const std::string& detail) {
-  return api::MakeStatus(api::ErrorCode::kShardUnavailable,
-                         "combiner: worker " + host + ":" +
-                             std::to_string(port) + " " + detail);
+  return Status(api::ErrorCode::kShardUnavailable,
+                "combiner: worker " + host + ":" + std::to_string(port) +
+                    " " + detail);
 }
 
 }  // namespace
 
-Combiner::Combiner(CombinerOptions options) : options_(std::move(options)) {}
+Combiner::Combiner(CombinerOptions options) : options_(std::move(options)) {
+  PMW_CHECK_GE(options_.checkpoint_interval, 1);
+}
 
 Combiner::~Combiner() { Close(); }
 
 Status Combiner::Connect(int domain_size, int num_shards) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (options_.workers.empty()) {
-    return api::MakeStatus(api::ErrorCode::kShardUnavailable,
-                           "combiner: no workers configured");
+    return Status(api::ErrorCode::kShardUnavailable,
+                  "combiner: no workers configured");
   }
   partition_ = core::PartitionDomain(domain_size, num_shards);
   if (static_cast<int>(partition_.size()) != num_shards) {
-    return api::MakeStatus(
+    return Status(
         api::ErrorCode::kMalformedRequest,
         "combiner: num_shards " + std::to_string(num_shards) +
             " is not the clamped shard count ConfigureSharding settled on (" +
@@ -43,7 +46,7 @@ Status Combiner::Connect(int domain_size, int num_shards) {
   }
   const int num_workers = static_cast<int>(options_.workers.size());
   if (num_workers > num_shards) {
-    return api::MakeStatus(
+    return Status(
         api::ErrorCode::kMalformedRequest,
         "combiner: " + std::to_string(num_workers) + " workers need at " +
             "least that many shards, have " + std::to_string(num_shards));
@@ -237,7 +240,7 @@ Status Combiner::Recover(Worker* worker, api::ShardRpcOp upto) {
     }
     last = OpenChannel(worker);
     if (!last.ok()) {
-      if (api::ClassifyStatus(last) == api::ErrorCode::kAuthRequired) {
+      if (last.code() == api::ErrorCode::kAuthRequired) {
         return last;  // retrying the same token is pointless
       }
       continue;
@@ -311,7 +314,7 @@ Status Combiner::FanOut(std::vector<api::ShardRpcRequest> rpcs,
     ++stats_.rpc_failures;
     Status recovered = Recover(&worker, rpcs[w].op);
     if (!recovered.ok()) {
-      return api::MakeStatus(
+      return Status(
           api::ErrorCode::kShardUnavailable,
           recovered.message() + " (first failure: " + why + ")");
     }
@@ -328,7 +331,7 @@ Status Combiner::Reweigh(const std::vector<double>& payoff, double eta,
                          std::vector<double>* local_max) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (static_cast<int>(payoff.size()) != domain_size_) {
-    return api::MakeStatus(
+    return Status(
         api::ErrorCode::kInternal,
         "combiner: payoff has " + std::to_string(payoff.size()) +
             " entries, domain has " + std::to_string(domain_size_));
@@ -354,7 +357,7 @@ Status Combiner::Reweigh(const std::vector<double>& payoff, double eta,
     const size_t group_size =
         static_cast<size_t>(worker.group_hi - worker.group_lo);
     if (replies[w].answer.size() != group_size) {
-      return api::MakeStatus(
+      return Status(
           api::ErrorCode::kInternal,
           "combiner: reweigh reply carries " +
               std::to_string(replies[w].answer.size()) + " maxima for a " +
@@ -387,7 +390,7 @@ Status Combiner::PartialSums(double global_max,
     const size_t group_size =
         static_cast<size_t>(worker.group_hi - worker.group_lo);
     if (replies[w].answer.size() != group_size) {
-      return api::MakeStatus(
+      return Status(
           api::ErrorCode::kInternal,
           "combiner: partials reply carries " +
               std::to_string(replies[w].answer.size()) + " sums for a " +
@@ -423,8 +426,7 @@ Status Combiner::Normalize(double total) {
 }
 
 void Combiner::MaybeCheckpoint() {
-  if (options_.checkpoint_interval <= 0 ||
-      log_.size() < static_cast<size_t>(options_.checkpoint_interval)) {
+  if (log_.size() < static_cast<size_t>(options_.checkpoint_interval)) {
     return;
   }
   // Capture every worker's slice at the current sequence into staging
@@ -495,7 +497,7 @@ Result<data::HistogramSupport> Combiner::Snapshot(int lo, int hi) {
     Result<data::HistogramSupport> slice =
         DecodeIndexPairs(reply.answer, slice_lo, slice_hi);
     if (!slice.ok()) {
-      return api::MakeStatus(
+      return Status(
           api::ErrorCode::kInternal,
           "combiner: snapshot reply rejected: " + slice.status().message());
     }

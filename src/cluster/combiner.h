@@ -85,7 +85,7 @@ struct CombinerOptions {
   /// log prefix it covers is discarded, and recovery restores the
   /// checkpoint (kRestore) then replays only the suffix. Bounds the
   /// recovery log at O(|X| + interval * |X|) instead of O(T * |X|).
-  /// <= 0 disables checkpointing (the PR-8 unbounded-log behavior).
+  /// Must be positive (checked at construction).
   int checkpoint_interval = 32;
 };
 

@@ -11,8 +11,7 @@ namespace cluster {
 namespace {
 
 Status WorkerError(const std::string& detail) {
-  return api::MakeStatus(api::ErrorCode::kMalformedRequest,
-                         "worker: " + detail);
+  return Status(api::ErrorCode::kMalformedRequest, "worker: " + detail);
 }
 
 }  // namespace
@@ -30,8 +29,7 @@ std::vector<double> EncodeIndexPairs(const data::HistogramSupport& support) {
 Result<data::HistogramSupport> DecodeIndexPairs(
     const std::vector<double>& pairs, int lo, int hi) {
   const auto malformed = [](const std::string& detail) {
-    return api::MakeStatus(api::ErrorCode::kMalformedRequest,
-                           "index pairs: " + detail);
+    return Status(api::ErrorCode::kMalformedRequest, "index pairs: " + detail);
   };
   if (pairs.size() % 2 != 0) {
     return malformed("odd payload length " + std::to_string(pairs.size()));

@@ -26,7 +26,7 @@ class ShardWorker::Sink : public api::FrameSink {
     };
     const auto decode_error = [&](const Status& status) {
       api::AnswerEnvelope envelope;
-      envelope.error = api::ClassifyStatus(status);
+      envelope.error = status.code();
       envelope.message = status.message();
       return envelope;
     };
@@ -132,7 +132,7 @@ class ShardWorker::Sink : public api::FrameSink {
           // Forward compatibility: the codec accepts any op byte so a
           // NEWER combiner gets a typed answer it can classify, not a
           // dropped connection.
-          status = api::MakeStatus(
+          status = Status(
               api::ErrorCode::kMalformedRequest,
               "worker: unknown shard rpc op " +
                   std::to_string(static_cast<int>(rpc.op)));
@@ -141,7 +141,7 @@ class ShardWorker::Sink : public api::FrameSink {
     }
     if (!status.ok()) {
       envelope.answer.clear();
-      envelope.error = api::ClassifyStatus(status);
+      envelope.error = status.code();
       envelope.message = status.message();
     }
     // The worker-compute half of the combiner's span attribution: how

@@ -8,6 +8,7 @@
 #ifndef PMWCM_COMMON_RESULT_H_
 #define PMWCM_COMMON_RESULT_H_
 
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -15,15 +16,48 @@
 
 namespace pmw {
 
-enum class StatusCode : int {
+/// The stack's one error vocabulary: every Status carries one of these,
+/// and the api protocol puts the same u16 on the wire (api::ErrorCode is
+/// an alias). Values are wire-stable: existing entries must never be
+/// renumbered (append only, then bump api::kMaxErrorCode and
+/// api::ErrorCodeName).
+enum class StatusCode : uint16_t {
   kOk = 0,
-  kInvalidArgument = 1,
-  kFailedPrecondition = 2,
-  kResourceExhausted = 3,
-  kHalted = 4,
-  kNotConverged = 5,
-  kInternal = 6,
-  kDeadlineExceeded = 7,
+  /// A front-door query quota (per-analyst or global) rejected the
+  /// request before it reached the mechanism. Zero privacy cost.
+  kQuotaExceeded = 1,
+  /// The mechanism's k-query budget is spent.
+  kBudgetExhausted = 2,
+  /// The sparse vector exhausted its T hard rounds (mechanism halted, or
+  /// admission predicted the halt from the ledger).
+  kHalted = 3,
+  /// The request's deadline passed before it was served. Zero privacy
+  /// cost: expiry is detected before the mechanism sees the query.
+  kDeadlineExpired = 4,
+  /// The request frame failed to decode (bad framing, truncated or
+  /// corrupt fields) or carried invalid arguments.
+  kMalformedRequest = 5,
+  /// The frame's protocol version is outside the range this endpoint
+  /// speaks.
+  kVersionMismatch = 6,
+  /// The request named a query the server's catalog does not hold.
+  kUnknownQuery = 7,
+  /// The endpoint (or its dispatcher) is shut down.
+  kShutdown = 8,
+  /// An inner solver failed to converge.
+  kNotConverged = 9,
+  /// The transport failed (broken socket, closed channel).
+  kTransportError = 10,
+  kInternal = 11,
+  /// A shard-group worker is unreachable (connect refused, RPC timeout,
+  /// or a dropped connection the combiner's bounded reconnect/replay
+  /// could not recover). Zero additional privacy cost: the hypothesis is
+  /// left unchanged.
+  kShardUnavailable = 12,
+  /// The connection has not completed the hello/auth exchange the
+  /// endpoint requires, presented a bad token, or sent a request whose
+  /// analyst id differs from the one bound to the connection.
+  kAuthRequired = 13,
 };
 
 /// Status of an operation: kOk or a code with a human-readable message.
@@ -34,15 +68,6 @@ class Status {
       : code_(code), message_(std::move(message)) {}
 
   static Status Ok() { return Status(); }
-  static Status InvalidArgument(std::string m) {
-    return Status(StatusCode::kInvalidArgument, std::move(m));
-  }
-  static Status FailedPrecondition(std::string m) {
-    return Status(StatusCode::kFailedPrecondition, std::move(m));
-  }
-  static Status ResourceExhausted(std::string m) {
-    return Status(StatusCode::kResourceExhausted, std::move(m));
-  }
   static Status Halted(std::string m) {
     return Status(StatusCode::kHalted, std::move(m));
   }
@@ -51,9 +76,6 @@ class Status {
   }
   static Status Internal(std::string m) {
     return Status(StatusCode::kInternal, std::move(m));
-  }
-  static Status DeadlineExceeded(std::string m) {
-    return Status(StatusCode::kDeadlineExceeded, std::move(m));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -24,8 +24,8 @@ CompositionBaseline::CompositionBaseline(const data::Dataset* dataset,
 
 Result<convex::Vec> CompositionBaseline::Answer(const convex::CmQuery& query) {
   if (answered_ >= options_.max_queries) {
-    return Status::ResourceExhausted(
-        "composition baseline: budget covers only k queries");
+    return Status(StatusCode::kBudgetExhausted,
+                  "composition baseline: budget covers only k queries");
   }
   ++answered_;
   erm::OracleContext context;

@@ -32,7 +32,7 @@ class CompositionBaseline : public QueryAnswerer {
   CompositionBaseline(const data::Dataset* dataset, erm::Oracle* oracle,
                       const Options& options, uint64_t seed);
 
-  /// Answers with a fresh A' call; ResourceExhausted past max_queries.
+  /// Answers with a fresh A' call; kBudgetExhausted past max_queries.
   Result<convex::Vec> Answer(const convex::CmQuery& query) override;
 
   std::string name() const override {

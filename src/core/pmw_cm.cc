@@ -160,7 +160,8 @@ Result<PmwAnswer> PmwCm::AnswerPrepared(
     return Status::Halted("pmw-cm: sparse vector exhausted its T updates");
   }
   if (queries_answered_ >= options_.max_queries) {
-    return Status::ResourceExhausted("pmw-cm: k queries already answered");
+    return Status(StatusCode::kBudgetExhausted,
+                  "pmw-cm: k queries already answered");
   }
   ++queries_answered_;
 

@@ -24,10 +24,12 @@ Result<convex::Vec> GlmOracle::Solve(const convex::CmQuery& query,
   PMW_CHECK(rng != nullptr);
   dp::ValidatePrivacyParams(context.privacy);
   if (!query.loss->is_generalized_linear()) {
-    return Status::InvalidArgument("glm oracle requires a GLM loss");
+    return Status(StatusCode::kMalformedRequest,
+                  "glm oracle requires a GLM loss");
   }
   if (context.privacy.delta <= 0.0) {
-    return Status::InvalidArgument("glm oracle requires delta > 0");
+    return Status(StatusCode::kMalformedRequest,
+                  "glm oracle requires delta > 0");
   }
 
   const convex::Domain& domain = *query.domain;

@@ -23,11 +23,12 @@ Result<convex::Vec> LocalizationOracle::Solve(const convex::CmQuery& query,
   dp::ValidatePrivacyParams(context.privacy);
   const double sigma_sc = query.loss->strong_convexity();
   if (sigma_sc <= 0.0) {
-    return Status::InvalidArgument(
-        "localization requires a strongly convex loss");
+    return Status(StatusCode::kMalformedRequest,
+                  "localization requires a strongly convex loss");
   }
   if (context.privacy.delta <= 0.0) {
-    return Status::InvalidArgument("localization requires delta > 0");
+    return Status(StatusCode::kMalformedRequest,
+                  "localization requires delta > 0");
   }
 
   // BST14-style localization: phase i re-solves with an extra regularizer

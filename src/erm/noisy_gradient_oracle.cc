@@ -22,7 +22,8 @@ Result<convex::Vec> NoisyGradientOracle::Solve(const convex::CmQuery& query,
   PMW_CHECK(rng != nullptr);
   dp::ValidatePrivacyParams(context.privacy);
   if (context.privacy.delta <= 0.0) {
-    return Status::InvalidArgument(
+    return Status(
+        StatusCode::kMalformedRequest,
         "noisy-gd oracle needs delta > 0 for per-step strong composition");
   }
   const convex::Domain& domain = *query.domain;

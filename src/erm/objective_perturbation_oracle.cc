@@ -21,7 +21,8 @@ Result<convex::Vec> ObjectivePerturbationOracle::Solve(
   PMW_CHECK(rng != nullptr);
   dp::ValidatePrivacyParams(context.privacy);
   if (context.privacy.delta <= 0.0) {
-    return Status::InvalidArgument(
+    return Status(
+        StatusCode::kMalformedRequest,
         "objective perturbation (Gaussian variant) requires delta > 0");
   }
   const convex::Domain& domain = *query.domain;

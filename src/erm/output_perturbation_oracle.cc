@@ -27,12 +27,12 @@ Result<convex::Vec> OutputPerturbationOracle::Solve(
   dp::ValidatePrivacyParams(context.privacy);
   const double sigma_sc = query.loss->strong_convexity();
   if (sigma_sc <= 0.0) {
-    return Status::InvalidArgument(
-        "output perturbation requires a strongly convex loss");
+    return Status(StatusCode::kMalformedRequest,
+                  "output perturbation requires a strongly convex loss");
   }
   if (context.privacy.delta <= 0.0) {
-    return Status::InvalidArgument(
-        "output perturbation (Gaussian) requires delta > 0");
+    return Status(StatusCode::kMalformedRequest,
+                  "output perturbation (Gaussian) requires delta > 0");
   }
 
   convex::DatasetObjective objective(query.loss, &dataset);

@@ -20,8 +20,8 @@ class OutputPerturbationOracle : public Oracle {
  public:
   explicit OutputPerturbationOracle(convex::SolverOptions solver_options = {});
 
-  /// Requires query.loss->strong_convexity() > 0 (returns InvalidArgument
-  /// otherwise) and delta > 0.
+  /// Requires query.loss->strong_convexity() > 0 (returns
+  /// kMalformedRequest otherwise) and delta > 0.
   Result<convex::Vec> Solve(const convex::CmQuery& query,
                             const data::Dataset& dataset,
                             const OracleContext& context, Rng* rng) override;

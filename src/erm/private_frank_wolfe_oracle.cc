@@ -79,8 +79,8 @@ Result<convex::Vec> PrivateFrankWolfeOracle::Solve(
   PMW_CHECK(rng != nullptr);
   dp::ValidatePrivacyParams(context.privacy);
   if (context.privacy.delta <= 0.0) {
-    return Status::InvalidArgument(
-        "private frank-wolfe requires delta > 0");
+    return Status(StatusCode::kMalformedRequest,
+                  "private frank-wolfe requires delta > 0");
   }
   const convex::Domain& domain = *query.domain;
   std::vector<convex::Vec> vertices =

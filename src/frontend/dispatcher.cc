@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "api/error.h"
 #include "common/check.h"
 
 namespace pmw {
@@ -54,8 +53,8 @@ std::future<Served> Dispatcher::Submit(
 
   if (shutdown_.load(std::memory_order_acquire)) {
     m_.shutdown_rejected->Add(1);
-    request.promise.set_value(Served(api::MakeStatus(
-        api::ErrorCode::kShutdown, "frontend: dispatcher is shut down")));
+    request.promise.set_value(Served(
+        Status(StatusCode::kShutdown, "frontend: dispatcher is shut down")));
     return future;
   }
 
@@ -78,8 +77,8 @@ std::future<Served> Dispatcher::Submit(
   if (!queue_.Push(request)) {
     if (quota_ != nullptr) quota_->Refund(analyst_id);
     m_.shutdown_rejected->Add(1);
-    request.promise.set_value(Served(api::MakeStatus(
-        api::ErrorCode::kShutdown, "frontend: dispatcher is shut down")));
+    request.promise.set_value(Served(
+        Status(StatusCode::kShutdown, "frontend: dispatcher is shut down")));
   } else {
     // Counters are monotonic: admitted is recorded only once the push
     // actually stuck.
@@ -132,8 +131,8 @@ void Dispatcher::DispatchLoop() {
       // own expiry in pmw_frontend_deadline_expired_total.
       m_.deadline_expired->Add(static_cast<long long>(expired.size()));
       for (Request& request : expired) {
-        Served served(api::MakeStatus(
-            api::ErrorCode::kDeadlineExpired,
+        Served served(Status(
+            StatusCode::kDeadlineExpired,
             "frontend: deadline expired after " +
                 std::to_string(
                     std::chrono::duration_cast<std::chrono::microseconds>(
@@ -190,6 +189,7 @@ void Dispatcher::DispatchLoop() {
       Served served(std::move(results[j]), outcomes[j]);
       served.queue_wait_us = queue_waits_us[j];
       served.serve_us = batch_serve_us;
+      served.committed = true;
       const bool answered_ok = served.answer.ok();
       live[j].promise.set_value(std::move(served));
       // The span tree is assembled and published AFTER the promise

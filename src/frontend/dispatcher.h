@@ -82,6 +82,11 @@ struct Served {
   /// expired requests carry their queue wait with serve_us = 0.
   uint64_t queue_wait_us = 0;
   uint64_t serve_us = 0;
+  /// True iff the dispatcher handed the request to AnswerBatch: it is a
+  /// transcript entry (its id is in ArrivalLog), error or not. False for
+  /// quota, shutdown and deadline rejections, which the mechanism never
+  /// saw.
+  bool committed = false;
 
   Served(Result<convex::Vec> a) : answer(std::move(a)) {}  // NOLINT
   Served(Result<convex::Vec> a, serve::QueryOutcome o)
@@ -106,7 +111,7 @@ class Dispatcher {
   /// Submits one query on behalf of `analyst_id`. Thread-safe; blocks
   /// only when the queue is full. The future resolves with the released
   /// theta or a typed error (quota rejection, deadline expiry, mechanism
-  /// kHalted / kResourceExhausted, or shutdown). If `request_id` is
+  /// kHalted / kBudgetExhausted, or shutdown). If `request_id` is
   /// non-null it receives the request's unique id (what ArrivalLog
   /// records). A non-default `deadline` bounds how long the request may
   /// wait in the queue: if it expires before the dispatcher hands the

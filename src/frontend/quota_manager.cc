@@ -1,7 +1,5 @@
 #include "frontend/quota_manager.h"
 
-#include "api/error.h"
-
 namespace pmw {
 namespace frontend {
 
@@ -21,28 +19,27 @@ Status QuotaManager::Admit(const std::string& analyst_id) {
     // kHalted, not kQuotaExceeded: the door is predicting the mechanism's
     // own halt from the ledger, so remote callers see the same code a
     // served query would have produced — just earlier and for free.
-    return api::MakeStatus(
-        api::ErrorCode::kHalted,
-        "quota: hard-round budget exhausted (all " +
-            std::to_string(oracle_view_.max_events()) +
-            " oracle calls spent)");
+    return Status(StatusCode::kHalted,
+                  "quota: hard-round budget exhausted (all " +
+                      std::to_string(oracle_view_.max_events()) +
+                      " oracle calls spent)");
   }
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (options_.global_queries > 0 &&
       total_admitted_ >= options_.global_queries) {
-    return api::MakeStatus(api::ErrorCode::kQuotaExceeded,
-                           "quota: global budget of " +
-                               std::to_string(options_.global_queries) +
-                               " queries exhausted");
+    return Status(StatusCode::kQuotaExceeded,
+                  "quota: global budget of " +
+                      std::to_string(options_.global_queries) +
+                      " queries exhausted");
   }
   long long& count = admitted_[analyst_id];
   if (options_.per_analyst_queries > 0 &&
       count >= options_.per_analyst_queries) {
-    return api::MakeStatus(
-        api::ErrorCode::kQuotaExceeded,
-        "quota: analyst '" + analyst_id + "' exhausted its " +
-            std::to_string(options_.per_analyst_queries) + "-query quota");
+    return Status(StatusCode::kQuotaExceeded,
+                  "quota: analyst '" + analyst_id + "' exhausted its " +
+                      std::to_string(options_.per_analyst_queries) +
+                      "-query quota");
   }
   ++count;
   ++total_admitted_;

@@ -20,18 +20,8 @@
 //     are spent the sparse vector is halted, so admitting more work
 //     could only ever produce kHalted errors downstream.
 //
-// Rejections are typed through the api::ErrorCode taxonomy (api/error.h):
-// api::ErrorCode::kQuotaExceeded for query-quota exhaustion (legacy
-// StatusCode::kResourceExhausted) and api::ErrorCode::kHalted for a spent
-// hard-round budget. The canonical "[kCode] " message tag makes the
-// classification lossless across the wire.
-//
-// CONTRACT: every rejection detail this class mints starts with
-// "quota: ". For kHalted that prefix is load-bearing, not cosmetic — it
-// is how the api layer tells a door-predicted halt (never committed, no
-// arrival-log entry) from the mechanism's own halt (a committed
-// transcript entry); see NeverCommitted in api/endpoint.cc before
-// changing the wording.
+// Rejections are typed: StatusCode::kQuotaExceeded for query-quota
+// exhaustion and StatusCode::kHalted for a spent hard-round budget.
 
 #ifndef PMWCM_FRONTEND_QUOTA_MANAGER_H_
 #define PMWCM_FRONTEND_QUOTA_MANAGER_H_

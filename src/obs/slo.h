@@ -40,10 +40,11 @@ struct SloBurnSpec {
   bool higher_is_better = false;
 };
 
-/// Recomputes pmw_slo_burn_ratio{endpoint=...} for every spec from the
-/// registry's current histogram snapshots. A histogram with no samples
-/// (or an unconfigured spec) writes burn 0 — "no evidence of burn", the
-/// conservative scrape-side default.
+/// Recomputes pmw_slo_burn_ratio{endpoint=...} for every configured spec
+/// from the registry's current histogram snapshots. A histogram with no
+/// samples writes burn 0 — "no evidence of burn", the conservative
+/// scrape-side default. An unconfigured spec (target <= 0) is skipped and
+/// registers no gauge.
 void UpdateSloBurnGauges(Registry* registry,
                          const std::vector<SloBurnSpec>& specs);
 

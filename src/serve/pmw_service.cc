@@ -97,9 +97,11 @@ PmwService::AnalystHandles& PmwService::HandlesFor(
 std::shared_ptr<const core::HypothesisSnapshot> PmwService::PublishAndPrepare(
     std::span<const convex::CmQuery> queries, size_t begin, size_t end,
     ShardExecutor::PrepareResult* prepared) {
+  const std::shared_ptr<const core::HypothesisSnapshot> previous =
+      epochs_.Current();
   std::shared_ptr<const core::HypothesisSnapshot> snapshot =
       epochs_.Publish(cm_);
-  m_.epochs->Add(1);
+  if (snapshot != previous) m_.epochs->Add(1);
   *prepared =
       executor_.PrepareRange(queries, begin, end, *snapshot, plan_cache_);
   m_.prepare_cache_hits->Add(prepared->cache_hits);

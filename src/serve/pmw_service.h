@@ -132,7 +132,7 @@ class PmwService {
 
   /// Answers `queries` in order. The result vector is positionally aligned
   /// with the input; each entry is the released theta or the per-query
-  /// error status (kHalted / kResourceExhausted), exactly as the sequential
+  /// error status (kHalted / kBudgetExhausted), exactly as the sequential
   /// mechanism would have produced it.
   ///
   /// Must be called from one serving thread at a time (the single
@@ -184,8 +184,10 @@ class PmwService {
   const EpochState& epochs() const { return epochs_; }
 
  private:
-  /// Publishes a fresh epoch and prepares queries[begin, end) against it,
-  /// folding executor counters into the registry. Returns the epoch's
+  /// Publishes the current epoch (a fresh snapshot only when the
+  /// hypothesis version moved; pmw_serve_epochs_total counts those) and
+  /// prepares queries[begin, end) against it, folding executor counters
+  /// into the registry. Returns the epoch's
   /// snapshot; `*prepared` receives the deduplicated plans + position
   /// index for the range.
   std::shared_ptr<const core::HypothesisSnapshot> PublishAndPrepare(
@@ -207,7 +209,9 @@ class PmwService {
     obs::Counter* prepare_cache_hits = nullptr;
     /// Error statuses returned (halted / budget exhausted).
     obs::Counter* errors = nullptr;
-    /// Epochs published: one per batch start + one per mid-batch update.
+    /// Epoch snapshots built: the first publish, then one per publish
+    /// after the hypothesis version moved (a republish of the unchanged
+    /// snapshot at a batch start does not count).
     obs::Counter* epochs = nullptr;
     /// Distinct plans re-prepared after a mid-batch epoch advance.
     obs::Counter* reprepared = nullptr;

@@ -85,7 +85,7 @@ TEST_F(AnswererTest, SurfacesMechanismErrors) {
   EXPECT_TRUE(answerer.Answer(family.Next(&rng)).ok());
   Result<convex::Vec> exhausted = answerer.Answer(family.Next(&rng));
   ASSERT_FALSE(exhausted.ok());
-  EXPECT_EQ(exhausted.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(exhausted.status().code(), StatusCode::kBudgetExhausted);
 }
 
 }  // namespace

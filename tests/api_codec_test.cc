@@ -130,7 +130,7 @@ bool SameBits(double a, double b) {
 void ExpectTypedDecodeFailure(std::string_view frame) {
   Result<QueryRequest> request = DecodeRequest(frame);
   if (request.ok()) return;  // a mutation can leave the frame valid
-  const ErrorCode code = ClassifyStatus(request.status());
+  const ErrorCode code = request.status().code();
   EXPECT_TRUE(code == ErrorCode::kMalformedRequest ||
               code == ErrorCode::kVersionMismatch)
       << ErrorCodeName(code) << ": " << request.status().ToString();
@@ -295,14 +295,12 @@ TEST(ApiCodecTest, MetricsAndTraceTruncationsAreTypedNeverACrash) {
         if (trace) {
           Result<TraceRequest> decoded = DecodeTraceRequest(prefix);
           ASSERT_FALSE(decoded.ok()) << "cut=" << cut;
-          EXPECT_EQ(ClassifyStatus(decoded.status()),
-                    ErrorCode::kMalformedRequest)
+          EXPECT_EQ(decoded.status().code(), ErrorCode::kMalformedRequest)
               << "cut=" << cut;
         } else {
           Result<MetricsRequest> decoded = DecodeMetricsRequest(prefix);
           ASSERT_FALSE(decoded.ok()) << "cut=" << cut;
-          EXPECT_EQ(ClassifyStatus(decoded.status()),
-                    ErrorCode::kMalformedRequest)
+          EXPECT_EQ(decoded.status().code(), ErrorCode::kMalformedRequest)
               << "cut=" << cut;
         }
       }
@@ -318,8 +316,7 @@ TEST(ApiCodecTest, FutureVersionMetricsAndTraceFramesAreVersionMismatch) {
     wire[6] = 99;  // version byte sits after the length + magic
     Result<MetricsRequest> decoded = DecodeMetricsRequest(wire);
     ASSERT_FALSE(decoded.ok());
-    EXPECT_EQ(ClassifyStatus(decoded.status()),
-              ErrorCode::kVersionMismatch);
+    EXPECT_EQ(decoded.status().code(), ErrorCode::kVersionMismatch);
   }
   {
     std::string wire;
@@ -327,8 +324,7 @@ TEST(ApiCodecTest, FutureVersionMetricsAndTraceFramesAreVersionMismatch) {
     wire[6] = 99;
     Result<TraceRequest> decoded = DecodeTraceRequest(wire);
     ASSERT_FALSE(decoded.ok());
-    EXPECT_EQ(ClassifyStatus(decoded.status()),
-              ErrorCode::kVersionMismatch);
+    EXPECT_EQ(decoded.status().code(), ErrorCode::kVersionMismatch);
   }
 }
 
@@ -395,14 +391,12 @@ TEST(ApiCodecTest, BatchedAndStatsTruncationsAreTypedNeverACrash) {
         if (stats) {
           Result<StatsRequest> decoded = DecodeStatsRequest(prefix);
           ASSERT_FALSE(decoded.ok()) << "cut=" << cut;
-          EXPECT_EQ(ClassifyStatus(decoded.status()),
-                    ErrorCode::kMalformedRequest)
+          EXPECT_EQ(decoded.status().code(), ErrorCode::kMalformedRequest)
               << "cut=" << cut;
         } else {
           Result<QueryRequest> decoded = DecodeRequest(prefix);
           ASSERT_FALSE(decoded.ok()) << "cut=" << cut;
-          EXPECT_EQ(ClassifyStatus(decoded.status()),
-                    ErrorCode::kMalformedRequest)
+          EXPECT_EQ(decoded.status().code(), ErrorCode::kMalformedRequest)
               << "cut=" << cut;
         }
       }
@@ -438,13 +432,13 @@ TEST(ApiCodecTest, BatchedAndStatsCorruptionsAreTypedNeverACrash) {
     ExpectTypedDecodeFailure(wire);
     Result<StatsRequest> stats = DecodeStatsRequest(wire);
     if (!stats.ok()) {
-      const ErrorCode code = ClassifyStatus(stats.status());
+      const ErrorCode code = stats.status().code();
       EXPECT_TRUE(code == ErrorCode::kMalformedRequest ||
                   code == ErrorCode::kVersionMismatch);
     }
     Result<AnswerEnvelope> answer = DecodeAnswer(wire);
     if (!answer.ok()) {
-      const ErrorCode code = ClassifyStatus(answer.status());
+      const ErrorCode code = answer.status().code();
       EXPECT_TRUE(code == ErrorCode::kMalformedRequest ||
                   code == ErrorCode::kVersionMismatch);
     }
@@ -458,7 +452,7 @@ TEST(ApiCodecTest, FutureVersionStatsFramesAreVersionMismatch) {
   wire[6] = static_cast<char>(kProtocolVersion + 9);
   Result<StatsRequest> decoded = DecodeStatsRequest(wire);
   ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(ClassifyStatus(decoded.status()), ErrorCode::kVersionMismatch);
+  EXPECT_EQ(decoded.status().code(), ErrorCode::kVersionMismatch);
 }
 
 TEST(ApiCodecTest, HostileBatchedNameCountsAreRejectedWithoutAllocation) {
@@ -483,7 +477,7 @@ TEST(ApiCodecTest, HostileBatchedNameCountsAreRejectedWithoutAllocation) {
   std::memcpy(wire.data() + count_at, &bogus, sizeof(bogus));
   Result<QueryRequest> decoded = DecodeRequest(wire);
   ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(ClassifyStatus(decoded.status()), ErrorCode::kMalformedRequest);
+  EXPECT_EQ(decoded.status().code(), ErrorCode::kMalformedRequest);
 }
 
 TEST(ApiCodecTest, EveryTruncationIsTypedNeverACrash) {
@@ -499,8 +493,7 @@ TEST(ApiCodecTest, EveryTruncationIsTypedNeverACrash) {
       // ...and decoding the truncation as if complete is a typed error.
       Result<QueryRequest> decoded = DecodeRequest(prefix);
       ASSERT_FALSE(decoded.ok()) << "cut=" << cut;
-      EXPECT_EQ(ClassifyStatus(decoded.status()),
-                ErrorCode::kMalformedRequest)
+      EXPECT_EQ(decoded.status().code(), ErrorCode::kMalformedRequest)
           << "cut=" << cut;
     }
   }
@@ -526,7 +519,7 @@ TEST(ApiCodecTest, CorruptedBytesAreTypedNeverACrash) {
     ExpectTypedDecodeFailure(wire);
     Result<AnswerEnvelope> answer = DecodeAnswer(wire);
     if (!answer.ok()) {
-      const ErrorCode code = ClassifyStatus(answer.status());
+      const ErrorCode code = answer.status().code();
       EXPECT_TRUE(code == ErrorCode::kMalformedRequest ||
                   code == ErrorCode::kVersionMismatch);
     }
@@ -560,7 +553,7 @@ TEST(ApiCodecTest, FutureVersionFramesAreVersionMismatch) {
     wire[6] = static_cast<char>(version);  // the header's version byte
     Result<QueryRequest> decoded = DecodeRequest(wire);
     ASSERT_FALSE(decoded.ok());
-    EXPECT_EQ(ClassifyStatus(decoded.status()), ErrorCode::kVersionMismatch);
+    EXPECT_EQ(decoded.status().code(), ErrorCode::kVersionMismatch);
   }
   // Version 0 predates kMinProtocolVersion: nothing speaks it.
   std::string wire;
@@ -568,7 +561,7 @@ TEST(ApiCodecTest, FutureVersionFramesAreVersionMismatch) {
   wire[6] = 0;
   Result<QueryRequest> decoded = DecodeRequest(wire);
   ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(ClassifyStatus(decoded.status()), ErrorCode::kVersionMismatch);
+  EXPECT_EQ(decoded.status().code(), ErrorCode::kVersionMismatch);
 }
 
 TEST(ApiCodecTest, EmptyQueryNameDecodesSoTheReplyKeepsItsRequestId) {
@@ -715,14 +708,12 @@ TEST(ApiCodecTest, HelloAndShardRpcTruncationsAreTypedNeverACrash) {
         if (shard_rpc) {
           Result<ShardRpcRequest> decoded = DecodeShardRpcRequest(prefix);
           ASSERT_FALSE(decoded.ok()) << "cut=" << cut;
-          EXPECT_EQ(ClassifyStatus(decoded.status()),
-                    ErrorCode::kMalformedRequest)
+          EXPECT_EQ(decoded.status().code(), ErrorCode::kMalformedRequest)
               << "cut=" << cut;
         } else {
           Result<HelloRequest> decoded = DecodeHelloRequest(prefix);
           ASSERT_FALSE(decoded.ok()) << "cut=" << cut;
-          EXPECT_EQ(ClassifyStatus(decoded.status()),
-                    ErrorCode::kMalformedRequest)
+          EXPECT_EQ(decoded.status().code(), ErrorCode::kMalformedRequest)
               << "cut=" << cut;
         }
       }
@@ -747,14 +738,14 @@ TEST(ApiCodecTest, HelloAndShardRpcCorruptionsAreTypedNeverACrash) {
     }
     Result<HelloRequest> hello = DecodeHelloRequest(wire);
     if (!hello.ok()) {
-      const ErrorCode code = ClassifyStatus(hello.status());
+      const ErrorCode code = hello.status().code();
       EXPECT_TRUE(code == ErrorCode::kMalformedRequest ||
                   code == ErrorCode::kVersionMismatch)
           << ErrorCodeName(code);
     }
     Result<ShardRpcRequest> rpc = DecodeShardRpcRequest(wire);
     if (!rpc.ok()) {
-      const ErrorCode code = ClassifyStatus(rpc.status());
+      const ErrorCode code = rpc.status().code();
       EXPECT_TRUE(code == ErrorCode::kMalformedRequest ||
                   code == ErrorCode::kVersionMismatch)
           << ErrorCodeName(code);
@@ -770,8 +761,7 @@ TEST(ApiCodecTest, FutureVersionHelloAndShardRpcFramesAreVersionMismatch) {
     wire[6] = 99;  // version byte sits after the length + magic
     Result<HelloRequest> decoded = DecodeHelloRequest(wire);
     ASSERT_FALSE(decoded.ok());
-    EXPECT_EQ(ClassifyStatus(decoded.status()),
-              ErrorCode::kVersionMismatch);
+    EXPECT_EQ(decoded.status().code(), ErrorCode::kVersionMismatch);
   }
   {
     std::string wire;
@@ -779,8 +769,7 @@ TEST(ApiCodecTest, FutureVersionHelloAndShardRpcFramesAreVersionMismatch) {
     wire[6] = 99;
     Result<ShardRpcRequest> decoded = DecodeShardRpcRequest(wire);
     ASSERT_FALSE(decoded.ok());
-    EXPECT_EQ(ClassifyStatus(decoded.status()),
-              ErrorCode::kVersionMismatch);
+    EXPECT_EQ(decoded.status().code(), ErrorCode::kVersionMismatch);
   }
 }
 

@@ -7,9 +7,9 @@
 //       core::PmwCm under the same seed, and answers + the privacy
 //       ledger must be bit-identical. The codec, the socket loops, the
 //       queue, and the sharded service may only ever change wall-clock.
-//   (b) The error taxonomy is lossless: every Status the lower layers
-//       emit classifies to exactly one ErrorCode, canonical statuses
-//       round-trip exactly, and protocol-level rejections (unknown
+//   (b) One error vocabulary: every code crosses the wire with its
+//       message unchanged, served errors carry the sequential
+//       mechanism's own code, and protocol-level rejections (unknown
 //       query, version mismatch, quota) are typed and cost zero privacy.
 //   (c) Serving metadata rides along: epochs, hard/soft rounds,
 //       cache-hit flags, and the remaining-budget view are consistent
@@ -89,45 +89,22 @@ class ApiTest : public ::testing::Test {
   std::unique_ptr<data::Dataset> dataset_;
 };
 
-TEST(ApiErrorTest, TaxonomyIsLosslessOverCanonicalStatuses) {
-  for (int raw = 0; raw <= static_cast<int>(ErrorCode::kInternal); ++raw) {
+TEST(ApiErrorTest, EveryCodeCrossesTheWireWithItsMessage) {
+  for (uint16_t raw = 0; raw <= static_cast<uint16_t>(kMaxErrorCode);
+       ++raw) {
     const ErrorCode code = static_cast<ErrorCode>(raw);
-    if (code == ErrorCode::kOk) continue;
-    const Status status = MakeStatus(code, "detail text");
-    EXPECT_FALSE(status.ok());
-    EXPECT_EQ(status.code(), LegacyCode(code)) << ErrorCodeName(code);
-    // Exact recovery from the canonical tag.
-    EXPECT_EQ(ClassifyStatus(status), code) << ErrorCodeName(code);
-    // And across a wire round trip of (code, message).
-    const Status rebuilt = ToStatus(code, status.message());
-    EXPECT_EQ(ClassifyStatus(rebuilt), code) << ErrorCodeName(code);
-    EXPECT_EQ(rebuilt.message(), status.message());
+    AnswerEnvelope sent;
+    sent.request_id = 7;
+    sent.error = code;
+    sent.message = "detail text";
+    std::string frame;
+    EncodeAnswer(sent, &frame);
+    Result<AnswerEnvelope> decoded = DecodeAnswer(frame);
+    ASSERT_TRUE(decoded.ok()) << ErrorCodeName(code);
+    const Status status = decoded.value().status();
+    EXPECT_EQ(status.code(), code) << ErrorCodeName(code);
+    EXPECT_EQ(status.message(), "detail text") << ErrorCodeName(code);
   }
-  EXPECT_EQ(ClassifyStatus(Status::Ok()), ErrorCode::kOk);
-}
-
-TEST(ApiErrorTest, LegacyStatusesClassifyAsDocumented) {
-  // What the lower layers emit today, verbatim.
-  EXPECT_EQ(ClassifyStatus(Status::Halted(
-                "pmw-cm: sparse vector exhausted its T updates")),
-            ErrorCode::kHalted);
-  EXPECT_EQ(ClassifyStatus(Status::ResourceExhausted(
-                "pmw-cm: k queries already answered")),
-            ErrorCode::kBudgetExhausted);
-  EXPECT_EQ(ClassifyStatus(Status::ResourceExhausted(
-                "quota: analyst 'a' exhausted its 3-query quota")),
-            ErrorCode::kQuotaExceeded);
-  EXPECT_EQ(ClassifyStatus(Status::InvalidArgument(
-                "glm oracle requires a GLM loss")),
-            ErrorCode::kMalformedRequest);
-  EXPECT_EQ(ClassifyStatus(Status::FailedPrecondition(
-                "frontend: dispatcher is shut down")),
-            ErrorCode::kShutdown);
-  EXPECT_EQ(ClassifyStatus(Status::NotConverged("solver stalled")),
-            ErrorCode::kNotConverged);
-  EXPECT_EQ(ClassifyStatus(Status::DeadlineExceeded("late")),
-            ErrorCode::kDeadlineExpired);
-  EXPECT_EQ(ClassifyStatus(Status::Internal("bug")), ErrorCode::kInternal);
 }
 
 TEST_F(ApiTest, InProcessCallsMatchSequentialMechanismBitForBit) {
@@ -152,7 +129,7 @@ TEST_F(ApiTest, InProcessCallsMatchSequentialMechanismBitForBit) {
         sequential.AnswerQuery(*catalog_.Find(name));
     ASSERT_EQ(reply.ok(), want.ok()) << "call " << j;
     if (!want.ok()) {
-      EXPECT_EQ(reply.error, ClassifyStatus(want.status()));
+      EXPECT_EQ(reply.error, want.status().code());
       continue;
     }
     ASSERT_EQ(reply.answer.size(), want.value().theta.size());
@@ -392,7 +369,7 @@ TEST_F(ApiTest, SocketTranscriptMatchesSequentialReplayOfArrivalLog) {
         sequential.AnswerQuery(*catalog_.Find(record.query_name));
     ASSERT_EQ(got.ok(), want.ok()) << "position " << position;
     if (!want.ok()) {
-      EXPECT_EQ(got.error, ClassifyStatus(want.status()));
+      EXPECT_EQ(got.error, want.status().code());
       continue;
     }
     ASSERT_EQ(got.answer.size(), want.value().theta.size());
@@ -786,7 +763,7 @@ TEST_F(ApiTest, ReplayStaysBitIdenticalUnderTracingAndLiveScrapers) {
         sequential.AnswerQuery(*catalog_.Find(record.query_name));
     ASSERT_EQ(got.ok(), want.ok()) << "position " << position;
     if (!want.ok()) {
-      EXPECT_EQ(got.error, ClassifyStatus(want.status()));
+      EXPECT_EQ(got.error, want.status().code());
       continue;
     }
     ASSERT_EQ(got.answer.size(), want.value().theta.size());

@@ -371,7 +371,7 @@ TEST_F(ClusterTest, FullTcpFrontDoorMatchesSequentialWithAuth) {
         sequential.AnswerQuery(*catalog_.Find(name));
     ASSERT_EQ(reply.ok(), want.ok()) << "call " << j << ": " << reply.message;
     if (!want.ok()) {
-      EXPECT_EQ(reply.error, api::ClassifyStatus(want.status())) << j;
+      EXPECT_EQ(reply.error, want.status().code()) << j;
       continue;
     }
     ASSERT_EQ(reply.answer.size(), want.value().theta.size()) << j;
@@ -654,7 +654,7 @@ TEST_F(ClusterTest, SliceHostRejectsOutOfSequencePhases) {
   const Status stale = slice.Reweigh(/*update_seq=*/3, payoff, 0.5,
                                      &local_max);
   ASSERT_FALSE(stale.ok());
-  EXPECT_EQ(api::ClassifyStatus(stale), api::ErrorCode::kMalformedRequest);
+  EXPECT_EQ(stale.code(), api::ErrorCode::kMalformedRequest);
   // Phases out of order within a matching seq are rejected too.
   std::vector<double> local_sum;
   EXPECT_FALSE(slice.Partials(/*update_seq=*/0, 0.0, &local_sum).ok());
@@ -701,8 +701,7 @@ TEST_F(ClusterTest, ConnectFailuresAreTypedTaxonomyErrors) {
   Combiner combiner(combiner_options);
   const Status unreachable = combiner.Connect(16, 4);
   ASSERT_FALSE(unreachable.ok());
-  EXPECT_EQ(api::ClassifyStatus(unreachable),
-            api::ErrorCode::kShardUnavailable);
+  EXPECT_EQ(unreachable.code(), api::ErrorCode::kShardUnavailable);
 }
 
 TEST_F(ClusterTest, ExhaustedRecoverySurfacesAsShardUnavailableAtZeroCost) {
@@ -732,7 +731,7 @@ TEST_F(ClusterTest, ExhaustedRecoverySurfacesAsShardUnavailableAtZeroCost) {
   std::vector<double> local_max;
   const Status failed = combiner.Reweigh(payoff, 0.5, &local_max);
   ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(api::ClassifyStatus(failed), api::ErrorCode::kShardUnavailable)
+  EXPECT_EQ(failed.code(), api::ErrorCode::kShardUnavailable)
       << failed.ToString();
   EXPECT_EQ(combiner.update_seq(), 0u) << "failed update must not commit";
 }
@@ -777,8 +776,7 @@ TEST(IndexPairsTest, DecodeRejectsMalformedPayloadsWithTypedErrors) {
     const Result<data::HistogramSupport> decoded =
         DecodeIndexPairs(bad[k], 0, 10);
     ASSERT_FALSE(decoded.ok()) << "case " << k;
-    EXPECT_EQ(api::ClassifyStatus(decoded.status()),
-              api::ErrorCode::kMalformedRequest)
+    EXPECT_EQ(decoded.status().code(), api::ErrorCode::kMalformedRequest)
         << "case " << k;
   }
   // The range is the caller's: an index valid for one slice is outside
@@ -806,8 +804,7 @@ TEST(SliceHostTest, RejectedRestoreLeavesTheSliceUnchanged) {
                                         {1.0, 0.5, 2.0}}) {
     const Status rejected = slice.Restore(/*update_seq=*/7, pairs);
     ASSERT_FALSE(rejected.ok());
-    EXPECT_EQ(api::ClassifyStatus(rejected),
-              api::ErrorCode::kMalformedRequest);
+    EXPECT_EQ(rejected.code(), api::ErrorCode::kMalformedRequest);
     EXPECT_EQ(slice.updates_applied(), 1u);
     const Result<data::HistogramSupport> after = slice.Snapshot(0, 8);
     ASSERT_TRUE(after.ok());

@@ -222,7 +222,7 @@ TEST(ResultTest, ErrorResultCarriesStatus) {
 }
 
 TEST(StatusTest, ToStringIncludesMessage) {
-  Status s = Status::InvalidArgument("bad alpha");
+  Status s(StatusCode::kMalformedRequest, "bad alpha");
   EXPECT_NE(s.ToString().find("bad alpha"), std::string::npos);
   EXPECT_TRUE(Status::Ok().ok());
 }

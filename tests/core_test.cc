@@ -270,7 +270,7 @@ TEST_F(CoreTest, RespectsMaxQueries) {
   }
   auto extra = mechanism.AnswerQuery(family.Next(&rng));
   EXPECT_FALSE(extra.ok());
-  EXPECT_EQ(extra.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(extra.status().code(), StatusCode::kBudgetExhausted);
 }
 
 TEST_F(CoreTest, FailureInjectionDegradesAccuracy) {

@@ -1,9 +1,9 @@
 // Edge-case coverage for serve/epoch_state: snapshot reuse at an
 // unchanged version, degenerate (empty-support) snapshots flowing through
-// the prepare path, epoch monotonicity across mid-batch updates, published
-// snapshots equal to fresh ones at their version, and the RCU property
-// that a held epoch survives — immutable — while the writer publishes
-// past it.
+// the prepare path, epoch monotonicity across mid-batch updates, one
+// counted epoch per snapshot built (not per batch), published snapshots
+// equal to fresh ones at their version, and the RCU property that a held
+// epoch survives — immutable — while the writer publishes past it.
 
 #include "serve/epoch_state.h"
 
@@ -137,14 +137,36 @@ TEST_F(EpochStateTest, EpochsAdvanceMonotonicallyAcrossMidBatchUpdates) {
 
   EXPECT_GT(service.mechanism().update_count(), 0);
   EXPECT_EQ(last_version, service.mechanism().hypothesis_version());
-  // One publish per batch start plus one per mid-batch update (an update
-  // on a batch's last query has no suffix to re-prepare), so publishes
-  // dominate both counters.
+  // One snapshot is built per hypothesis version a publish sees: the
+  // first, then one after every update except an update on the
+  // workload's very last query (no publish follows it). A batch start
+  // at an unchanged version republishes and counts nothing.
   const obs::Registry& registry = service.registry();
   const long long epochs = registry.CounterValue("pmw_serve_epochs_total");
+  const long long updates = registry.CounterValue("pmw_serve_updates_total");
   EXPECT_EQ(registry.CounterValue("pmw_serve_batches_total"), 4);
-  EXPECT_GE(epochs, 4);
-  EXPECT_GE(epochs, registry.CounterValue("pmw_serve_updates_total"));
+  EXPECT_GE(epochs, updates);
+  EXPECT_LE(epochs, updates + 1);
+}
+
+TEST_F(EpochStateTest, BatchesAtOneHypothesisVersionCountOneEpoch) {
+  // Uniform data under the uniform initial hypothesis: no query is hard,
+  // so the version never moves and the second batch's start republishes
+  // the first batch's snapshot, which builds nothing and counts nothing.
+  data::Dataset uniform = data::RoundedDataset(
+      universe_, data::Histogram::Uniform(universe_.size()), 60000);
+  erm::NonPrivateOracle oracle;
+  PmwService service(&uniform, &oracle, PracticalOptions(), 42);
+  service.AnswerBatch(queries_);
+  std::shared_ptr<const core::HypothesisSnapshot> first =
+      service.epochs().Current();
+  service.AnswerBatch(queries_);
+  ASSERT_EQ(service.mechanism().update_count(), 0);
+
+  EXPECT_EQ(service.epochs().Current(), first);
+  const obs::Registry& registry = service.registry();
+  EXPECT_EQ(registry.CounterValue("pmw_serve_batches_total"), 2);
+  EXPECT_EQ(registry.CounterValue("pmw_serve_epochs_total"), 1);
 }
 
 TEST_F(EpochStateTest, PublishedSnapshotsEqualAFreshSnapshotAtTheirVersion) {

@@ -105,7 +105,7 @@ TEST_F(OracleTest, NoisyGradientRejectsPureDp) {
   context.privacy = {1.0, 0.0};
   auto result = oracle.Solve(query, dataset_, context, &rng);
   EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(result.status().code(), StatusCode::kMalformedRequest);
 }
 
 TEST_F(OracleTest, OutputPerturbationRequiresStrongConvexity) {
@@ -185,7 +185,9 @@ TEST_F(OracleTest, GlmOracleRequiresGlm) {
   Rng rng(6);
   OracleContext context;
   context.privacy = {1.0, 1e-6};
-  EXPECT_FALSE(oracle.Solve(query, dataset_, context, &rng).ok());
+  auto result = oracle.Solve(query, dataset_, context, &rng);
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kMalformedRequest);
 }
 
 TEST_F(OracleTest, GlmOracleAccurateOnLogistic) {

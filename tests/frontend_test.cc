@@ -32,7 +32,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "api/error.h"
 #include "common/random.h"
 #include "core/pmw_cm.h"
 #include "data/binary_universe.h"
@@ -271,7 +270,7 @@ TEST_F(FrontendTest, QuotaRejectionConsumesZeroPrivacyBudget) {
     Result<convex::Vec> rejected =
         dispatcher.Submit(analyst, pool_[0]).get().answer;
     ASSERT_FALSE(rejected.ok());
-    EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(rejected.status().code(), StatusCode::kQuotaExceeded);
     EXPECT_NE(rejected.status().message().find("quota"), std::string::npos);
   }
   dispatcher.Shutdown();
@@ -332,7 +331,7 @@ TEST_F(FrontendTest, GlobalQuotaAppliesAcrossAnalysts) {
         ++served;
       } else {
         ++rejected;
-        EXPECT_EQ(answer.status().code(), StatusCode::kResourceExhausted);
+        EXPECT_EQ(answer.status().code(), StatusCode::kQuotaExceeded);
       }
     }
   }
@@ -514,7 +513,7 @@ TEST_F(FrontendTest, SubmitAfterShutdownResolvesWithTypedError) {
   Result<convex::Vec> result =
       dispatcher.Submit("late-analyst", pool_[0]).get().answer;
   ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(result.status().code(), StatusCode::kShutdown);
   EXPECT_EQ(
       service.registry().CounterValue("pmw_frontend_shutdown_rejected_total"),
       1);
@@ -548,9 +547,7 @@ TEST_F(FrontendTest, ExpiredDeadlineResolvesTypedAtZeroPrivacyCost) {
           .get()
           .answer;
   ASSERT_FALSE(late.ok());
-  EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(api::ClassifyStatus(late.status()),
-            api::ErrorCode::kDeadlineExpired);
+  EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExpired);
 
   // ...at zero privacy cost: the mechanism never saw the query (no
   // ledger event, no k-query slot) and the quota slot was refunded.
@@ -608,8 +605,7 @@ TEST_F(FrontendTest, DeadlineExpiryRefundsExactlyOneQuotaSlot) {
             .get()
             .answer;
     ASSERT_FALSE(late.ok());
-    EXPECT_EQ(api::ClassifyStatus(late.status()),
-              api::ErrorCode::kDeadlineExpired);
+    EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExpired);
     EXPECT_EQ(quota.admitted("refund-analyst"), 2)
         << "expiry #" << i << " did not refund exactly one slot";
   }
@@ -625,9 +621,86 @@ TEST_F(FrontendTest, DeadlineExpiryRefundsExactlyOneQuotaSlot) {
   EXPECT_TRUE(dispatcher.Submit(analyst, pool_[6]).get().answer.ok());
   Result<convex::Vec> over = dispatcher.Submit(analyst, pool_[7]).get().answer;
   ASSERT_FALSE(over.ok());
-  EXPECT_EQ(api::ClassifyStatus(over.status()),
-            api::ErrorCode::kQuotaExceeded);
+  EXPECT_EQ(over.status().code(), StatusCode::kQuotaExceeded);
   EXPECT_EQ(quota.admitted("refund-analyst"), 4);
+}
+
+// Served::committed is what the api endpoint trusts to keep or drop an
+// arrival record: true for every request the dispatcher handed to
+// AnswerBatch, refused or not, and false for every rejection the
+// mechanism never saw.
+TEST_F(FrontendTest, CommittedMarksExactlyTheRequestsHandedToTheMechanism) {
+  {
+    // No QuotaManager and k = 2: the third query is the mechanism's own
+    // kBudgetExhausted refusal, a transcript entry like any answer.
+    core::PmwOptions options = PracticalOptions();
+    options.max_queries = 2;
+    erm::NonPrivateOracle oracle;
+    serve::PmwService service(dataset_.get(), &oracle, options, 41);
+    Dispatcher dispatcher(&service, nullptr);
+    for (size_t j = 0; j < 3; ++j) {
+      Served served = dispatcher.Submit("a", pool_[j]).get();
+      EXPECT_TRUE(served.committed) << j;
+      if (j < 2) {
+        EXPECT_TRUE(served.answer.ok()) << j;
+      } else {
+        ASSERT_FALSE(served.answer.ok());
+        EXPECT_EQ(served.answer.status().code(),
+                  StatusCode::kBudgetExhausted);
+      }
+    }
+    Served late =
+        dispatcher
+            .Submit("a", pool_[3], nullptr,
+                    std::chrono::steady_clock::now() -
+                        std::chrono::milliseconds(1))
+            .get();
+    EXPECT_EQ(late.answer.status().code(), StatusCode::kDeadlineExpired);
+    EXPECT_FALSE(late.committed);
+    dispatcher.Shutdown();
+    Served after = dispatcher.Submit("a", pool_[4]).get();
+    EXPECT_EQ(after.answer.status().code(), StatusCode::kShutdown);
+    EXPECT_FALSE(after.committed);
+  }
+  {
+    // A spent per-analyst quota.
+    erm::NonPrivateOracle oracle;
+    serve::PmwService service(dataset_.get(), &oracle, PracticalOptions(),
+                              43);
+    QuotaOptions quota_options;
+    quota_options.per_analyst_queries = 1;
+    QuotaManager quota(&service, quota_options);
+    Dispatcher dispatcher(&service, &quota);
+    EXPECT_TRUE(dispatcher.Submit("b", pool_[0]).get().committed);
+    Served over = dispatcher.Submit("b", pool_[1]).get();
+    EXPECT_EQ(over.answer.status().code(), StatusCode::kQuotaExceeded);
+    EXPECT_FALSE(over.committed);
+  }
+  {
+    // The halt the door predicts from the ledger once the one hard round
+    // is spent: the same kHalted code the mechanism's own halt carries,
+    // but never committed.
+    core::PmwOptions options = PracticalOptions();
+    options.override_updates = 1;
+    options.alpha = 0.02;  // nearly every query exceeds threshold
+    erm::NonPrivateOracle oracle;
+    serve::PmwService service(dataset_.get(), &oracle, options, 47);
+    QuotaManager quota(&service, QuotaOptions{});  // unlimited
+    Dispatcher dispatcher(&service, &quota);
+    bool door_halted = false;
+    for (size_t j = 0; j < 100 && !door_halted; ++j) {
+      Served served = dispatcher.Submit("c", pool_[j % pool_.size()]).get();
+      if (served.answer.ok()) {
+        EXPECT_TRUE(served.committed) << j;
+        continue;
+      }
+      ASSERT_EQ(served.answer.status().code(), StatusCode::kHalted) << j;
+      EXPECT_FALSE(served.committed) << j;
+      door_halted = true;
+    }
+    EXPECT_TRUE(door_halted);
+    EXPECT_EQ(service.mechanism().update_count(), 1);
+  }
 }
 
 TEST_F(FrontendTest, BackpressureOnTinyQueueStillServesEverything) {

@@ -1,7 +1,8 @@
 // obs layer tests: counter exactness under concurrent adders, histogram
 // quantiles and exact moments, deterministic exposition output, labeled
-// names, and the trace ring's deterministic slot assignment under
-// concurrent publishers and scrapers. The TSan CI job rebuilds this
+// names, the scrape-time SLO burn gauges, and the trace ring's
+// deterministic slot assignment under concurrent publishers and
+// scrapers. The TSan CI job rebuilds this
 // binary, so the lock-free claims in obs/metrics.h are machine-checked.
 
 #include "obs/metrics.h"
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/slo.h"
 #include "obs/trace.h"
 
 namespace pmw {
@@ -174,6 +176,41 @@ TEST(RegistryTest, ScrapesNeverBlockConcurrentWriters) {
   scraper.join();
   EXPECT_EQ(registry.CounterValue("pmw_w_total"), 30000);
   EXPECT_EQ(registry.HistogramSnap("pmw_w_ms").count, 30000);
+}
+
+TEST(SloBurnTest, GaugesFollowTheirSpecs) {
+  Registry registry;
+  // Constant samples pin every quantile to the sample (quantiles clamp
+  // to the observed [min, max]), so each burn is exact.
+  Histogram* latency = registry.GetHistogram("pmw_test_latency_us",
+                                             Histogram::LogBuckets(1, 2, 8));
+  Histogram* goodput = registry.GetHistogram("pmw_test_goodput_qps",
+                                             Histogram::LogBuckets(1, 2, 8));
+  registry.GetHistogram("pmw_test_empty_us", Histogram::LogBuckets(1, 2, 8));
+  for (int i = 0; i < 10; ++i) {
+    latency->Observe(30.0);
+    goodput->Observe(50.0);
+  }
+  UpdateSloBurnGauges(
+      &registry,
+      {{"latency", "pmw_test_latency_us", 0.99, 20.0, false},
+       {"goodput", "pmw_test_goodput_qps", 0.5, 100.0, true},
+       {"empty", "pmw_test_empty_us", 0.99, 5.0, false},
+       {"unset", "pmw_test_latency_us", 0.99, 0.0, false},
+       {"negative", "pmw_test_latency_us", 0.99, -1.0, false}});
+  const auto burn = [&registry](const std::string& endpoint) {
+    return registry
+        .GetGauge(Registry::LabeledName("pmw_slo_burn_ratio", "endpoint",
+                                        endpoint))
+        ->Value();
+  };
+  EXPECT_DOUBLE_EQ(burn("latency"), 30.0 / 20.0);   // observed / target
+  EXPECT_DOUBLE_EQ(burn("goodput"), 100.0 / 50.0);  // target / observed
+  EXPECT_EQ(burn("empty"), 0.0);
+  // A target <= 0 is an objective not configured: no gauge at all.
+  const std::string exposition = registry.TextExposition();
+  EXPECT_EQ(exposition.find("endpoint=\"unset\""), std::string::npos);
+  EXPECT_EQ(exposition.find("endpoint=\"negative\""), std::string::npos);
 }
 
 RequestTrace MakeTrace(uint64_t id, uint64_t total_us) {

@@ -255,7 +255,7 @@ TEST(ServeParallelTest, EpochAdvancesWithUpdatesAndBatches) {
             std::string::npos);
   const long long updates = registry.CounterValue("pmw_serve_updates_total");
   EXPECT_EQ(updates, service.mechanism().update_count());
-  // One publish at batch start plus one per mid-batch update (except an
+  // One snapshot at batch start plus one per mid-batch update (except an
   // update on the very last query, which has no suffix to re-prepare).
   EXPECT_GE(registry.CounterValue("pmw_serve_epochs_total"), updates);
   ASSERT_NE(service.epochs().Current(), nullptr);
