@@ -20,10 +20,13 @@ double LogSumExp(const std::vector<double>& v);
 /// Natural log with a floor at 1e-300 to avoid -inf on exact zeros.
 double SafeLog(double x);
 
-/// Numerically safe log(1 + exp(z)) (softplus).
+/// Softplus log(1 + exp(z)) = max(z, 0) + log1p(exp(-|z|)), from the
+/// fixed polynomial in common/logistic_poly.h (within 4 ulp; +inf at
+/// +inf, NaN for NaN).
 double Log1PExp(double z);
 
-/// Logistic sigmoid 1 / (1 + exp(-z)), stable for large |z|.
+/// Logistic sigmoid 1 / (1 + exp(-z)) from the same polynomial (within
+/// 3 ulp; exactly 0.5 at 0).
 double Sigmoid(double z);
 
 /// True iff |a - b| <= atol + rtol * max(|a|, |b|).

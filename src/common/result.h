@@ -2,13 +2,14 @@
 //
 // The library does not use exceptions (Google style). Programmer errors are
 // PMW_CHECKed; conditions a caller can reasonably react to (a halted sparse
-// vector, an exhausted privacy budget, a solver that failed to converge)
-// travel through Status / Result<T>.
+// vector, an exhausted privacy budget, a malformed request) travel through
+// Status / Result<T>.
 
 #ifndef PMWCM_COMMON_RESULT_H_
 #define PMWCM_COMMON_RESULT_H_
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <utility>
 
@@ -20,7 +21,7 @@ namespace pmw {
 /// and the api protocol puts the same u16 on the wire (api::ErrorCode is
 /// an alias). Values are wire-stable: existing entries must never be
 /// renumbered (append only, then bump api::kMaxErrorCode and
-/// api::ErrorCodeName).
+/// StatusCodeName).
 enum class StatusCode : uint16_t {
   kOk = 0,
   /// A front-door query quota (per-analyst or global) rejected the
@@ -44,7 +45,8 @@ enum class StatusCode : uint16_t {
   kUnknownQuery = 7,
   /// The endpoint (or its dispatcher) is shut down.
   kShutdown = 8,
-  /// An inner solver failed to converge.
+  /// An inner solver failed to converge. Nothing mints it today; the
+  /// number stays assigned because wire codes are append-only.
   kNotConverged = 9,
   /// The transport failed (broken socket, closed channel).
   kTransportError = 10,
@@ -60,6 +62,13 @@ enum class StatusCode : uint16_t {
   kAuthRequired = 13,
 };
 
+/// Stable name, e.g. "kQuotaExceeded" (api::ErrorCodeName is this
+/// function).
+const char* StatusCodeName(StatusCode code);
+
+/// gtest's printer for StatusCode, so a failing EXPECT_EQ shows the name.
+void PrintTo(StatusCode code, std::ostream* os);
+
 /// Status of an operation: kOk or a code with a human-readable message.
 class Status {
  public:
@@ -71,9 +80,6 @@ class Status {
   static Status Halted(std::string m) {
     return Status(StatusCode::kHalted, std::move(m));
   }
-  static Status NotConverged(std::string m) {
-    return Status(StatusCode::kNotConverged, std::move(m));
-  }
   static Status Internal(std::string m) {
     return Status(StatusCode::kInternal, std::move(m));
   }
@@ -82,10 +88,10 @@ class Status {
   StatusCode code() const { return code_; }
   const std::string& message() const { return message_; }
 
+  /// "OK", or the code's name and the message: "kHalted: <message>".
   std::string ToString() const {
     if (ok()) return "OK";
-    return "error(" + std::to_string(static_cast<int>(code_)) + "): " +
-           message_;
+    return std::string(StatusCodeName(code_)) + ": " + message_;
   }
 
  private:

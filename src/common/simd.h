@@ -18,9 +18,11 @@
 //     consumer is exp(x - max), and exp(x - +0.0) == exp(x - -0.0) for
 //     every x (the ±0 difference survives only at x == ±0, where
 //     exp(±0) == 1.0 exactly), so the downstream bits cannot differ.
-//   * Transcendentals (std::log, std::exp, links) stay scalar per lane —
+//   * The MW update's std::log / std::exp stay scalar per element —
 //     libm makes no cross-call guarantees a vector approximation could
-//     honor.
+//     honor. The logistic link is not libm: Log1PExp and Sigmoid are one
+//     fixed polynomial (common/logistic_poly.h) whose AVX2 twin in
+//     losses/margin_kernels.cc runs the same IEEE operations in lanes.
 //   * FMA is NEVER used: the baseline scalar build targets plain x86-64
 //     (no FMA ISA), so a fused multiply-add would round differently.
 //     Kernels compile with target("avx2") only, and use explicit

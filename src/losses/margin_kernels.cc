@@ -6,6 +6,7 @@
 #include <cstdint>
 
 #include "common/check.h"
+#include "common/logistic_poly.h"
 #include "common/simd.h"
 #include "data/binary_universe.h"
 #include "losses/margin_losses.h"
@@ -222,16 +223,99 @@ struct AbsoluteLink {
 #endif
 };
 
-// Links whose bodies stay scalar per lane: libm exp/log1p, Huber's
-// Clamp, and the virtual Link of a MarginLoss subclass with no kind.
+#if PMW_MARGIN_SIMD
+using logistic_poly::kAtanhP;
+using logistic_poly::kExpQ;
+using logistic_poly::kInvLn2;
+using logistic_poly::kLn2Hi;
+using logistic_poly::kLn2Lo;
+using logistic_poly::kMaxArg;
+using logistic_poly::kRound;
+using logistic_poly::kScaleBits;
+using logistic_poly::kUnscale;
+
+// Shorthands, so the logistic twin below reads line by line like its
+// scalar body.
+PMW_AVX2 inline __m256d Add(__m256d a, __m256d b) {
+  return _mm256_add_pd(a, b);
+}
+PMW_AVX2 inline __m256d Mul(__m256d a, __m256d b) {
+  return _mm256_mul_pd(a, b);
+}
+PMW_AVX2 inline __m256d Set(double c) { return _mm256_set1_pd(c); }
+
+// c[i] + c[i + 1] * x: one Estrin pair.
+PMW_AVX2 inline __m256d Pair(const double* c, __m256d x) {
+  return Add(Set(c[0]), Mul(Set(c[1]), x));
+}
+
+// The scalar Estrin10, ExpNegAbs and Log1PSmall of common/math_util.cc in
+// lanes, operation for operation (common/logistic_poly.h).
+PMW_AVX2 inline __m256d Estrin10(const double* c, __m256d x) {
+  const __m256d x2 = Mul(x, x);
+  const __m256d x4 = Mul(x2, x2);
+  const __m256d x8 = Mul(x4, x4);
+  const __m256d c03 = Add(Pair(c, x), Mul(Pair(c + 2, x), x2));
+  const __m256d c47 = Add(Pair(c + 4, x), Mul(Pair(c + 6, x), x2));
+  return Add(Add(c03, Mul(c47, x4)), Mul(Pair(c + 8, x), x8));
+}
+
+PMW_AVX2 inline __m256d ExpNegAbs4(__m256d m) {
+  const __m256d sign = Set(-0.0);
+  // kMaxArg < |m| ? kMaxArg : |m|.
+  const __m256d a = _mm256_min_pd(Set(kMaxArg), _mm256_andnot_pd(sign, m));
+  const __m256d x = _mm256_xor_pd(a, sign);
+  const __m256d kd = Add(Mul(x, Set(kInvLn2)), Set(kRound));
+  const __m256d n = _mm256_sub_pd(kd, Set(kRound));
+  const __m256d r = _mm256_sub_pd(_mm256_sub_pd(x, Mul(n, Set(kLn2Hi))),
+                                  Mul(n, Set(kLn2Lo)));
+  const __m256d er =
+      Add(Set(1.0), Add(r, Mul(Mul(r, r), Estrin10(kExpQ, r))));
+  const __m256d scale = _mm256_castsi256_pd(_mm256_slli_epi64(
+      _mm256_add_epi64(_mm256_castpd_si256(kd),
+                       _mm256_set1_epi64x(static_cast<long long>(kScaleBits))),
+      52));
+  return Mul(Mul(er, scale), Set(kUnscale));
+}
+
+PMW_AVX2 inline __m256d Log1PSmall4(__m256d t) {
+  const __m256d u = _mm256_div_pd(t, Add(Set(2.0), t));
+  const __m256d w = Mul(u, u);
+  const __m256d half_sq = Mul(Set(0.5), Mul(t, t));
+  return _mm256_sub_pd(
+      t, _mm256_sub_pd(half_sq,
+                       Mul(u, Add(half_sq, Mul(w, Estrin10(kAtanhP, w))))));
+}
+#endif  // PMW_MARGIN_SIMD
+
 struct LogisticLink {
-  static constexpr bool kLanes = false;
+  static constexpr bool kLanes = true;
   double Value(double z, double y) const { return LogisticLoss::Eval(z, y); }
   double Derivative(double z, double y) const {
     return LogisticLoss::EvalDerivative(z, y);
   }
+#if PMW_MARGIN_SIMD
+  // Log1PExp(m), m = -y * z: maxpd(m, 0) is std::max(0.0, m).
+  PMW_AVX2 __m256d Value4(__m256d z, __m256d y) const {
+    const __m256d m = Mul(_mm256_xor_pd(y, Set(-0.0)), z);
+    return Add(_mm256_max_pd(m, _mm256_setzero_pd()),
+               Log1PSmall4(ExpNegAbs4(m)));
+  }
+  // -y * Sigmoid(m): (m >= 0 ? 1 : t) / (1 + t), an ordered compare that
+  // is false on NaN.
+  PMW_AVX2 __m256d Derivative4(__m256d z, __m256d y) const {
+    const __m256d neg_y = _mm256_xor_pd(y, Set(-0.0));
+    const __m256d m = Mul(neg_y, z);
+    const __m256d t = ExpNegAbs4(m);
+    const __m256d num = _mm256_blendv_pd(
+        t, Set(1.0), _mm256_cmp_pd(m, _mm256_setzero_pd(), _CMP_GE_OQ));
+    return Mul(neg_y, _mm256_div_pd(num, Add(Set(1.0), t)));
+  }
+#endif
 };
 
+// Links whose bodies stay scalar per lane: Huber's Clamp, and the
+// virtual Link of a MarginLoss subclass with no kind.
 struct HuberLink {
   static constexpr bool kLanes = false;
   double delta;

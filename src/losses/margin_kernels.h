@@ -32,14 +32,27 @@
 //     entry per AVX2 lane. Vectorizing the doubling only runs
 //     independent elementwise adds four at a time.
 //   * Links: the scalar bodies are the static Eval/EvalDerivative that
-//     the virtual Link methods call (margin_losses.h). Squared, hinge and
-//     absolute also have AVX2 bodies whose operations match the scalar
-//     ones lane by lane, including +-0 and NaN: hinge's
+//     the virtual Link methods call (margin_losses.h). Squared, hinge,
+//     absolute and logistic also have AVX2 bodies whose operations match
+//     the scalar ones lane by lane, including +-0 and NaN: hinge's
 //     std::max(0.0, m) == maxpd(m, 0) (both pick 0 unless m > 0); its
 //     derivative is and(m > 0 ordered, -y), so a cleared lane is +0.0;
 //     absolute's |r| clears the sign bit and its derivative combines two
-//     ordered compares, both false on NaN and on +0 vs -0. Logistic,
-//     Huber and generic links run their scalar bodies per lane.
+//     ordered compares, both false on NaN and on +0 vs -0. Huber and
+//     generic links run their scalar bodies per lane.
+//   * Logistic: Log1PExp and Sigmoid (common/math_util.cc) are a fixed
+//     polynomial, not libm (common/logistic_poly.h), and the twin runs
+//     the same IEEE operations in the same order: |m| and -a by sign-bit
+//     masks; the clamp as minpd(kMaxArg, a), which is the scalar
+//     kMaxArg < a ? kMaxArg : a and keeps a NaN; n by the magic-constant
+//     round (add then subtract kRound); the Cody–Waite r; both Estrin
+//     polynomials with the same pairing and levels; 2^n by the same
+//     64-bit integer add and shift of kd's bits; the one division each
+//     for u = t / (2 + t) and sigmoid's quotient; softplus's
+//     max(m, 0) as maxpd(m, 0) == std::max(0.0, m); sigmoid's
+//     (m >= 0 ? 1 : t) as an ordered-compare blend (false on NaN, true
+//     on -0.0). Every step is a correctly rounded IEEE operation or an
+//     exact bit manipulation, so each lane equals the scalar call.
 //   * Value: the four mass * link products are formed in lanes
 //     (elementwise), then added to the running sum one at a time in entry
 //     order — the exact sequence of convex::SupportObjective's row loop.

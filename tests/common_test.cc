@@ -1,6 +1,7 @@
 // Unit tests for the common substrate: math, stats, random, results, tables.
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/math_util.h"
@@ -51,6 +52,62 @@ TEST(MathUtilTest, SigmoidSymmetry) {
 }
 
 TEST(MathUtilTest, SigmoidAtZero) { EXPECT_NEAR(Sigmoid(0.0), 0.5, 1e-15); }
+
+/// |got - want| in units of the last place of want rounded to double.
+long double UlpError(double got, long double want) {
+  const double w = static_cast<double>(want);
+  const long double ulp = std::ldexp(1.0L, std::ilogb(w) - 52);
+  return std::fabs(static_cast<long double>(got) - want) / ulp;
+}
+
+TEST(MathUtilTest, LogisticPolynomialWithinUlpsOfLongDouble) {
+  // Half the points uniform on [-700, 700], half log-uniform in
+  // magnitude on [2^-30, 2^9.45] so the range near 0 is covered too.
+  Rng rng(2015);
+  long double worst_softplus = 0.0L, worst_sigmoid = 0.0L;
+  double at_softplus = 0.0, at_sigmoid = 0.0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    double z = rng.Uniform(-700.0, 700.0);
+    if (i % 2 == 1) {
+      z = std::exp2(rng.Uniform(-30.0, 9.45)) * (i % 4 == 1 ? 1.0 : -1.0);
+    }
+    const long double zl = z;
+    const long double softplus = UlpError(Log1PExp(z), log1pl(expl(zl)));
+    const long double sigmoid =
+        UlpError(Sigmoid(z), 1.0L / (1.0L + expl(-zl)));
+    if (softplus > worst_softplus) {
+      worst_softplus = softplus;
+      at_softplus = z;
+    }
+    if (sigmoid > worst_sigmoid) {
+      worst_sigmoid = sigmoid;
+      at_sigmoid = z;
+    }
+  }
+  EXPECT_LE(worst_softplus, 4.0L) << "Log1PExp at z = " << at_softplus;
+  EXPECT_LE(worst_sigmoid, 3.0L) << "Sigmoid at z = " << at_sigmoid;
+
+  EXPECT_EQ(Sigmoid(0.0), 0.5);
+  EXPECT_EQ(Sigmoid(-0.0), 0.5);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Log1PExp(inf), inf);
+  EXPECT_EQ(Log1PExp(-inf), 0.0);
+  EXPECT_EQ(Sigmoid(inf), 1.0);
+  EXPECT_EQ(Sigmoid(-inf), 0.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(Log1PExp(nan)));
+  EXPECT_TRUE(std::isnan(Sigmoid(nan)));
+  // Past 708, e^-|z| < 1e-300: the results sit within 1e-300 of their
+  // limits z, 0, 1 and 0.
+  for (double z : {708.5, 709.0, 745.0, 746.0, 1000.0, 1e300}) {
+    EXPECT_LE(std::abs(Log1PExp(z) - z), 1e-300) << z;
+    EXPECT_GE(Log1PExp(-z), 0.0) << z;
+    EXPECT_LE(Log1PExp(-z), 1e-300) << z;
+    EXPECT_LE(std::abs(Sigmoid(z) - 1.0), 1e-300) << z;
+    EXPECT_GE(Sigmoid(-z), 0.0) << z;
+    EXPECT_LE(Sigmoid(-z), 1e-300) << z;
+  }
+}
 
 TEST(MathUtilTest, KlDivergenceZeroForIdentical) {
   std::vector<double> p = {0.2, 0.3, 0.5};
@@ -225,6 +282,14 @@ TEST(StatusTest, ToStringIncludesMessage) {
   Status s(StatusCode::kMalformedRequest, "bad alpha");
   EXPECT_NE(s.ToString().find("bad alpha"), std::string::npos);
   EXPECT_TRUE(Status::Ok().ok());
+}
+
+TEST(StatusTest, CodesPrintTheirNames) {
+  EXPECT_EQ(Status(StatusCode::kHalted, "sparse vector exhausted").ToString(),
+            "kHalted: sparse vector exhausted");
+  EXPECT_EQ(Status::Ok().ToString(), "OK");
+  EXPECT_EQ(::testing::PrintToString(StatusCode::kHalted), "kHalted");
+  EXPECT_STREQ(StatusCodeName(StatusCode::kNotConverged), "kNotConverged");
 }
 
 TEST(TablePrinterTest, AlignsColumns) {

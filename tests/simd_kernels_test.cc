@@ -319,6 +319,21 @@ class MarginKernelTest : public ::testing::Test {
     return theta;
   }
 
+  /// Of the five doubles around margin / scale, the t whose t * scale
+  /// lands closest to margin: exactly on it wherever some t does (every
+  /// margin the tests use except 1000 at d = 10).
+  static double CoordinateFor(double margin, double scale) {
+    double best = margin / scale;
+    if (std::isinf(best)) return best;
+    double t = std::nextafter(std::nextafter(best, 0.0), 0.0);
+    for (int step = 0; step < 5; ++step, t = std::nextafter(t, HUGE_VAL)) {
+      if (std::abs(t * scale - margin) < std::abs(best * scale - margin)) {
+        best = t;
+      }
+    }
+    return best;
+  }
+
   /// Every row except those with index % 9 == 4, truncated to `count`.
   static Support GappedSupport(const data::Universe& universe, size_t count,
                                Rng* rng) {
@@ -392,19 +407,23 @@ TEST_F(MarginKernelTest, KinksSignedZerosAndNaNMatchBitwise) {
     const int dim = universe->feature_dim();
     Rng rng(407);
     const Support entries = GappedSupport(*universe, universe->size(), &rng);
-    // One non-zero coordinate t with t * scale == 1.0 exactly, so every
-    // z is +-1.0: hinge's 1 - y * z == 0, absolute's z == y and Huber's
-    // |z - y| == delta = 2 all land on their kinks.
+    // One non-zero coordinate t, so every z is +-(t * scale). At 1.0,
+    // hinge's 1 - y * z == 0, absolute's z == y and Huber's |z - y| ==
+    // delta = 2 all land on their kinks. The logistic margin -y * z then
+    // walks through 0, the old +-35 branch points, the edges of exp's
+    // normal and subnormal range, and past the clamp to +-inf.
     const double scale = std::abs(universe->row(0).features[0]);
-    double t = 1.0 / scale;
-    for (int step = 0; step < 16 && t * scale != 1.0; ++step) {
-      t = std::nextafter(t, step % 2 == 0 ? 0.0 : 10.0);
+    for (double margin : {0.0, 1.0, 34.9, 35.1, 700.0, 708.0, 709.0, 745.0,
+                          1000.0, std::numeric_limits<double>::infinity()}) {
+      const double t = CoordinateFor(margin, scale);
+      if (margin == 1.0) {
+        ASSERT_EQ(t * scale, 1.0) << universe->name();
+      }
+      convex::Vec theta(static_cast<size_t>(dim), 0.0);
+      theta[static_cast<size_t>(dim / 2)] = t;
+      CheckEveryLink(*universe, dim, theta, entries,
+                     universe->name() + " z=+-" + std::to_string(margin));
     }
-    ASSERT_EQ(t * scale, 1.0) << universe->name();
-    convex::Vec kink(static_cast<size_t>(dim), 0.0);
-    kink[static_cast<size_t>(dim / 2)] = t;
-    CheckEveryLink(*universe, dim, kink, entries,
-                   universe->name() + " z=+-1");
     // Signed zeros: -0.0 coordinates make -0.0 terms in z.
     convex::Vec zeros = RandomTheta(dim, &rng);
     for (int j = 0; j < dim; j += 2) zeros[j] = j % 4 == 0 ? 0.0 : -0.0;
