@@ -13,22 +13,27 @@
 //       prefix table.
 //   BM_Value4, BM_Gradient4
 //       A 4-entry sweep at d = 10: the fixed per-call cost.
-//   BM_Prepare/<link>/borrowed:{0,1}
-//       PmwCm::Prepare at |X| = 2^11 against the initial hypothesis;
-//       borrowed:1 passes an earlier plan, so only the hypothesis side is
-//       solved (the re-prepare after a hard round).
+//   BM_Prepare/<link>/borrowed:{0,1}/hypothesis:{0,16}
+//       PmwCm::Prepare at |X| = 2^11; borrowed:1 passes an earlier plan,
+//       so only the hypothesis side is solved (the re-prepare after a hard
+//       round). hypothesis:0 solves against the initial uniform
+//       hypothesis, hypothesis:16 against the one serving re-prepares
+//       against: the fixture's own PmwCm after 16 MW updates, driven by a
+//       fixed query order.
 //
 //   ./build/bench_layers --benchmark_filter=BM_Value
 //   PMW_SIMD=off ./build/bench_layers    # the scalar kernels
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/check.h"
 #include "convex/domain.h"
 #include "erm/nonprivate_oracle.h"
 #include "losses/margin_losses.h"
@@ -159,13 +164,35 @@ BENCHMARK(BM_Gradient4);
 
 /// learning_rounds' shape: d = 10 (|X| = 2^11), logistic-model data.
 struct PrepareBench {
+  static constexpr int kUpdates = 16;
+
   bench::Workbench wb{10, 200000, 7200};
   erm::NonPrivateOracle oracle;
   core::PmwCm pmw{&wb.dataset, &oracle,
                   bench::PracticalPmwOptions(0.1, 2.0, 1 << 20, 1 << 20),
                   7201};
-  core::HypothesisSnapshot snapshot = pmw.SnapshotHypothesis();
   convex::L2Ball domain{10};
+  core::HypothesisSnapshot initial = pmw.SnapshotHypothesis();
+  core::HypothesisSnapshot updated = Update();
+
+  /// Answers link i % 4 with flips rotated by i / 4 and the label flip
+  /// alternating every 12 queries until kUpdates hard rounds have run.
+  core::HypothesisSnapshot Update() {
+    for (int i = 0; pmw.update_count() < kUpdates; ++i) {
+      PMW_CHECK_LT(i, 4096);
+      const std::unique_ptr<losses::MarginLoss> base =
+          MakeLink(static_cast<Link>(i % 4), 10);
+      std::vector<int> flips = Flips(10);
+      std::rotate(flips.begin(), flips.begin() + (i / 4) % 10, flips.end());
+      const losses::SignFlipLoss loss(base.get(), flips,
+                                      (i / 12) % 2 == 0 ? -1 : 1);
+      convex::CmQuery query;
+      query.loss = &loss;
+      query.domain = &domain;
+      PMW_CHECK(pmw.AnswerQuery(query).ok());
+    }
+    return pmw.SnapshotHypothesis();
+  }
 };
 
 void BM_Prepare(benchmark::State& state, Link link) {
@@ -175,21 +202,25 @@ void BM_Prepare(benchmark::State& state, Link link) {
   convex::CmQuery query;
   query.loss = &loss;
   query.domain = &b.domain;
-  const core::PreparedQuery earlier = b.pmw.Prepare(query, b.snapshot);
+  const core::HypothesisSnapshot& snapshot =
+      state.range(1) == 0 ? b.initial : b.updated;
+  const core::PreparedQuery earlier = b.pmw.Prepare(query, snapshot);
   const bool borrowed = state.range(0) != 0;
   for (auto _ : state) {
     core::PreparedQuery plan =
-        b.pmw.Prepare(query, b.snapshot, borrowed ? &earlier : nullptr);
+        b.pmw.Prepare(query, snapshot, borrowed ? &earlier : nullptr);
     benchmark::DoNotOptimize(plan);
   }
 }
-void Borrowed(benchmark::internal::Benchmark* b) {
-  b->ArgName("borrowed")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+void PrepareArgs(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"borrowed", "hypothesis"})
+      ->ArgsProduct({{0, 1}, {0, PrepareBench::kUpdates}})
+      ->Unit(benchmark::kMicrosecond);
 }
-BENCHMARK_CAPTURE(BM_Prepare, squared, Link::kSquared)->Apply(Borrowed);
-BENCHMARK_CAPTURE(BM_Prepare, logistic, Link::kLogistic)->Apply(Borrowed);
-BENCHMARK_CAPTURE(BM_Prepare, hinge, Link::kHinge)->Apply(Borrowed);
-BENCHMARK_CAPTURE(BM_Prepare, absolute, Link::kAbsolute)->Apply(Borrowed);
+BENCHMARK_CAPTURE(BM_Prepare, squared, Link::kSquared)->Apply(PrepareArgs);
+BENCHMARK_CAPTURE(BM_Prepare, logistic, Link::kLogistic)->Apply(PrepareArgs);
+BENCHMARK_CAPTURE(BM_Prepare, hinge, Link::kHinge)->Apply(PrepareArgs);
+BENCHMARK_CAPTURE(BM_Prepare, absolute, Link::kAbsolute)->Apply(PrepareArgs);
 
 }  // namespace
 }  // namespace pmw

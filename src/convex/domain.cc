@@ -36,6 +36,15 @@ bool L2Ball::Contains(const Vec& theta, double tol) const {
   return Dist2(theta, center_) <= radius_ + tol;
 }
 
+Vec L2Ball::LinearMinimizer(const Vec& direction) const {
+  PMW_CHECK_EQ(direction.size(), center_.size());
+  // centre - radius * direction / ||direction||.
+  double norm = Norm2(direction);
+  Vec s = center_;
+  if (norm > 1e-14) AddScaledInPlace(&s, direction, -radius_ / norm);
+  return s;
+}
+
 std::string L2Ball::name() const {
   return "l2ball(d=" + std::to_string(dim()) + ")";
 }
@@ -68,6 +77,15 @@ Vec Box::Center() const {
   return c;
 }
 
+Vec Box::LinearMinimizer(const Vec& direction) const {
+  PMW_CHECK_EQ(direction.size(), lo_.size());
+  Vec s(lo_.size());
+  for (size_t i = 0; i < lo_.size(); ++i) {
+    s[i] = direction[i] >= 0.0 ? lo_[i] : hi_[i];
+  }
+  return s;
+}
+
 double Box::Diameter() const {
   double acc = 0.0;
   for (size_t i = 0; i < lo_.size(); ++i) acc += Sq(hi_[i] - lo_[i]);
@@ -87,6 +105,11 @@ void Interval::Project(Vec* theta) const {
 bool Interval::Contains(const Vec& theta, double tol) const {
   PMW_CHECK_EQ(theta.size(), 1u);
   return theta[0] >= lo_ - tol && theta[0] <= hi_ + tol;
+}
+
+Vec Interval::LinearMinimizer(const Vec& direction) const {
+  PMW_CHECK_EQ(direction.size(), 1u);
+  return {direction[0] >= 0.0 ? lo_ : hi_};
 }
 
 Simplex::Simplex(int dim) : dim_(dim) { PMW_CHECK_GE(dim, 1); }
@@ -125,6 +148,18 @@ bool Simplex::Contains(const Vec& theta, double tol) const {
 }
 
 Vec Simplex::Center() const { return Vec(dim_, 1.0 / dim_); }
+
+Vec Simplex::LinearMinimizer(const Vec& direction) const {
+  PMW_CHECK_EQ(static_cast<int>(direction.size()), dim_);
+  // The vertex with the smallest direction coordinate.
+  int best = 0;
+  for (int i = 1; i < dim_; ++i) {
+    if (direction[i] < direction[best]) best = i;
+  }
+  Vec s = Zeros(dim_);
+  s[best] = 1.0;
+  return s;
+}
 
 double Simplex::Diameter() const { return std::sqrt(2.0); }
 

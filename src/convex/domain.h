@@ -1,9 +1,12 @@
-// Convex constraint sets Theta with Euclidean projection.
+// Convex constraint sets Theta with Euclidean projection and a closed-form
+// linear minimizer.
 //
 // Every CM query carries a convex domain Theta (paper Section 2.2). The
 // paper's applications use the unit L2 ball (d-boundedness, Section 1.1);
 // the library also ships boxes, intervals, and the probability simplex for
-// tests and the linear-query reduction.
+// tests and the linear-query reduction. Both multi-dimensional solvers call
+// LinearMinimizer: Frank-Wolfe steps towards it, and projected gradient
+// descent stops on the duality gap it certifies.
 
 #ifndef PMWCM_CONVEX_DOMAIN_H_
 #define PMWCM_CONVEX_DOMAIN_H_
@@ -17,7 +20,8 @@
 namespace pmw {
 namespace convex {
 
-/// A closed convex subset of R^d supporting Euclidean projection.
+/// A closed convex subset of R^d supporting Euclidean projection and
+/// linear minimization.
 class Domain {
  public:
   virtual ~Domain() = default;
@@ -32,6 +36,11 @@ class Domain {
 
   /// An interior starting point for solvers.
   virtual Vec Center() const = 0;
+
+  /// A point s of the set minimizing <direction, s>. For any subgradient g
+  /// of a convex f at theta, f(theta) - min f <= <g, theta - s> where s =
+  /// LinearMinimizer(g): the Frank-Wolfe duality gap.
+  virtual Vec LinearMinimizer(const Vec& direction) const = 0;
 
   /// sup_{a, b in Theta} ||a - b||_2; enters the scale parameter S.
   virtual double Diameter() const = 0;
@@ -50,6 +59,7 @@ class L2Ball : public Domain {
   void Project(Vec* theta) const override;
   bool Contains(const Vec& theta, double tol) const override;
   Vec Center() const override { return center_; }
+  Vec LinearMinimizer(const Vec& direction) const override;
   double Diameter() const override { return 2.0 * radius_; }
   std::string name() const override;
 
@@ -69,6 +79,7 @@ class Box : public Domain {
   void Project(Vec* theta) const override;
   bool Contains(const Vec& theta, double tol) const override;
   Vec Center() const override;
+  Vec LinearMinimizer(const Vec& direction) const override;
   double Diameter() const override;
   std::string name() const override { return "box"; }
 
@@ -87,6 +98,7 @@ class Interval : public Domain {
   void Project(Vec* theta) const override;
   bool Contains(const Vec& theta, double tol) const override;
   Vec Center() const override { return {0.5 * (lo_ + hi_)}; }
+  Vec LinearMinimizer(const Vec& direction) const override;
   double Diameter() const override { return hi_ - lo_; }
   std::string name() const override { return "interval"; }
 
@@ -108,6 +120,7 @@ class Simplex : public Domain {
   void Project(Vec* theta) const override;
   bool Contains(const Vec& theta, double tol) const override;
   Vec Center() const override;
+  Vec LinearMinimizer(const Vec& direction) const override;
   double Diameter() const override;
   std::string name() const override { return "simplex"; }
 

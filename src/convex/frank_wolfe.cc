@@ -1,54 +1,11 @@
 #include "convex/frank_wolfe.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
 
 namespace pmw {
 namespace convex {
-
-Vec LinearMinimizer(const Domain& domain, const Vec& direction) {
-  PMW_CHECK_EQ(static_cast<int>(direction.size()), domain.dim());
-  if (const auto* ball = dynamic_cast<const L2Ball*>(&domain)) {
-    // argmin over the ball: centre - radius * direction / ||direction||.
-    double norm = Norm2(direction);
-    Vec s = ball->Center();
-    if (norm > 1e-14) {
-      AddScaledInPlace(&s, direction, -ball->radius() / norm);
-    }
-    return s;
-  }
-  if (const auto* interval = dynamic_cast<const Interval*>(&domain)) {
-    return {direction[0] >= 0.0 ? interval->lo() : interval->hi()};
-  }
-  if (dynamic_cast<const Simplex*>(&domain) != nullptr) {
-    // Vertex with the smallest direction coordinate.
-    int best = 0;
-    for (int i = 1; i < domain.dim(); ++i) {
-      if (direction[i] < direction[best]) best = i;
-    }
-    Vec s = Zeros(domain.dim());
-    s[best] = 1.0;
-    return s;
-  }
-  if (const auto* box = dynamic_cast<const Box*>(&domain)) {
-    // Per-coordinate: lo when direction >= 0, hi otherwise. Recover the
-    // bounds by projecting +-inf-ish points.
-    Vec lo(domain.dim(), -1e30);
-    Vec hi(domain.dim(), 1e30);
-    box->Project(&lo);
-    box->Project(&hi);
-    Vec s(domain.dim());
-    for (int i = 0; i < domain.dim(); ++i) {
-      s[i] = direction[i] >= 0.0 ? lo[i] : hi[i];
-    }
-    return s;
-  }
-  PMW_CHECK_MSG(false,
-                "LinearMinimizer: unsupported domain " << domain.name());
-  return {};
-}
 
 FrankWolfeSolver::FrankWolfeSolver(SolverOptions options)
     : options_(options) {
@@ -67,7 +24,7 @@ SolverResult FrankWolfeSolver::Minimize(const Objective& objective,
   int iter = 0;
   for (; iter < options_.max_iters; ++iter) {
     Vec grad = objective.Gradient(theta);
-    Vec s = LinearMinimizer(domain, grad);
+    Vec s = domain.LinearMinimizer(grad);
     // Duality gap <grad, theta - s> certifies optimality.
     Vec direction = Sub(s, theta);
     double gap = -Dot(grad, direction);

@@ -1,7 +1,8 @@
 // Frank-Wolfe (conditional gradient) solver. Projection-free: each step
-// solves a linear minimization over the domain, which the shipped domains
-// answer in closed form. Useful for smooth losses over the unit ball and as
-// an independent cross-check of the projected-gradient solver.
+// moves towards Domain::LinearMinimizer of the gradient, which every domain
+// answers in closed form, and stops on the duality gap that vertex
+// certifies. Useful for smooth losses over the unit ball and as an
+// independent cross-check of the projected-gradient solver.
 
 #ifndef PMWCM_CONVEX_FRANK_WOLFE_H_
 #define PMWCM_CONVEX_FRANK_WOLFE_H_
@@ -10,10 +11,6 @@
 
 namespace pmw {
 namespace convex {
-
-/// argmin_{s in domain} <direction, s> for the shipped domain types.
-/// PMW_CHECK-fails on domains without a closed-form linear minimizer.
-Vec LinearMinimizer(const Domain& domain, const Vec& direction);
 
 class FrankWolfeSolver : public Solver {
  public:

@@ -33,6 +33,10 @@ SolverResult GradientDescentSolver::Minimize(const Objective& objective,
     Vec grad = objective.Gradient(theta);
     double grad_norm = Norm2(grad);
     if (grad_norm < 1e-14) break;  // stationary (interior optimum)
+    // Frank-Wolfe gap: f(theta) - min f <= <grad, theta - s> for any
+    // subgradient of a convex f, so this certifies theta, kinks included.
+    double gap = Dot(grad, Sub(theta, domain.LinearMinimizer(grad)));
+    if (gap <= options_.tol * (std::abs(value) + 1.0)) break;
 
     // Backtracking Armijo search along the projected-gradient path.
     bool accepted = false;

@@ -2,7 +2,11 @@
 // diminishing-step fallback. The default workhorse solver: exact enough for
 // smooth losses (logistic, squared) via line search, and robust for
 // non-smooth losses (hinge) via the subgradient fallback plus best-iterate
-// tracking.
+// tracking. After each gradient it computes the Frank-Wolfe duality gap
+// from Domain::LinearMinimizer and stops once the gap certifies the iterate
+// within SolverOptions::tol of the minimum, which ends a boundary optimum
+// in a few iterations instead of `patience` failed line searches. Solves
+// the gap cannot certify end on the stall rule or on max_iters.
 
 #ifndef PMWCM_CONVEX_GRADIENT_DESCENT_H_
 #define PMWCM_CONVEX_GRADIENT_DESCENT_H_

@@ -19,9 +19,17 @@ namespace convex {
 struct SolverOptions {
   /// Hard iteration cap.
   int max_iters = 400;
-  /// Converged when the objective improves by less than this (relatively)
-  /// over `patience` consecutive iterations.
+  /// Relative tolerance. Frank-Wolfe and projected gradient descent stop
+  /// on the certificate: the duality gap <g, theta - s>, s minimizing
+  /// <g, .> over the domain, is at most tol * (|f(theta)| + 1), which
+  /// bounds f(theta) - min f by the same amount. Projected gradient
+  /// descent also applies the stall rule below with it; golden section
+  /// scales its bracket width by it.
   double tol = 1e-10;
+  /// Stall rule, projected gradient descent only: stop, uncertified, after
+  /// this many consecutive iterations that improve the best value by no
+  /// more than tol * |best|. It ends the smooth solves whose gap closes
+  /// more slowly than their value.
   int patience = 8;
   /// Strong-convexity modulus, if known, to enable 1/(sigma t) step sizes.
   double strong_convexity = 0.0;

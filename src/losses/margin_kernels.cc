@@ -379,10 +379,13 @@ void AddGradientScalar(const L& link, const Sweep& s, const Entry* entries,
     const double coeff =
         mass * link.Derivative(EntryZ(s, bits), Label(s, index));
     // coeff * t_j as +-(coeff * c_j): exact by sign symmetry, (entry, j)
-    // order matches the generic scatter.
+    // order matches the generic scatter. A clear bit j XORs the IEEE sign
+    // bit onto coeff * c_j, the exact negation (NaN included) the AVX2
+    // scatter applies, without a branch per coordinate.
     for (int j = 0; j < s.dim; ++j) {
-      const double gj = coeff * s.c[j];
-      g[j] += ((bits >> j) & 1u) != 0 ? gj : -gj;
+      const std::uint64_t flip = (~bits >> j & 1u) << 63;
+      g[j] += std::bit_cast<double>(
+          std::bit_cast<std::uint64_t>(coeff * s.c[j]) ^ flip);
     }
   }
 }

@@ -68,6 +68,39 @@ class AbsObjective : public Objective {
   Vec target_;
 };
 
+// f(x) = <slope, x>; its minimum over a domain sits at a linear minimizer.
+class LinearObjective : public Objective {
+ public:
+  explicit LinearObjective(Vec slope) : slope_(std::move(slope)) {}
+  int dim() const override { return static_cast<int>(slope_.size()); }
+  double Value(const Vec& theta) const override { return Dot(slope_, theta); }
+  Vec Gradient(const Vec& /*theta*/) const override { return slope_; }
+
+ private:
+  Vec slope_;
+};
+
+// Forwards to `inner`, counting the Value and Gradient calls a solver makes.
+class CountingObjective : public Objective {
+ public:
+  explicit CountingObjective(const Objective* inner) : inner_(inner) {}
+  int dim() const override { return inner_->dim(); }
+  double Value(const Vec& theta) const override {
+    ++values;
+    return inner_->Value(theta);
+  }
+  Vec Gradient(const Vec& theta) const override {
+    ++gradients;
+    return inner_->Gradient(theta);
+  }
+
+  mutable int values = 0;
+  mutable int gradients = 0;
+
+ private:
+  const Objective* inner_;
+};
+
 TEST(VectorOpsTest, DotAndNorms) {
   Vec a = {1.0, 2.0, 2.0};
   Vec b = {2.0, 0.0, 1.0};
@@ -207,6 +240,43 @@ TEST(GradientDescentTest, HandlesNonSmoothObjective) {
   EXPECT_NEAR(result.value, 0.0, 0.01);
 }
 
+// At a boundary optimum every Armijo trial projects back onto the same
+// point, so no line search succeeds and only the Frank-Wolfe gap can end the
+// solve early. Each case must land within tol * (|min| + 1) of the exact
+// minimum on a handful of evaluations, not after `patience` rounds of 30
+// halvings.
+TEST(GradientDescentTest, BoundaryOptimaStopOnTheCertificate) {
+  LinearObjective flat({0.0, 0.0});
+  // 1/2 ||x - (2, 0)||^2, whose minimum over the unit disc is 1/2 at (1, 0).
+  PerturbedObjective pull(&flat, {0.0, 0.0}, 1.0, {2.0, 0.0});
+  LinearObjective slope({3.0, -4.0, 1.0});
+  LinearObjective simplex_slope({0.5, -1.0, 2.0});
+  L2Ball disc(2);
+  L2Ball ball(3);
+  Box box({-1.0, -1.0, -1.0}, {1.0, 2.0, 1.0});
+  Simplex simplex(3);
+  struct Case {
+    const Objective* objective;
+    const Domain* domain;
+    double exact;
+  };
+  const Case cases[] = {{&pull, &disc, 0.5},
+                        {&slope, &ball, -std::sqrt(26.0)},
+                        {&slope, &box, -12.0},
+                        {&simplex_slope, &simplex, -1.0}};
+  SolverOptions options;
+  GradientDescentSolver solver(options);
+  for (const Case& c : cases) {
+    CountingObjective counted(c.objective);
+    SolverResult result = solver.Minimize(counted, *c.domain);
+    EXPECT_LE(std::abs(result.value - c.exact),
+              options.tol * (std::abs(c.exact) + 1.0))
+        << c.domain->name() << ": value " << result.value;
+    EXPECT_LE(counted.values, 4) << c.domain->name();
+    EXPECT_LE(counted.gradients, 4) << c.domain->name();
+  }
+}
+
 TEST(SubgradientSolverTest, MatchesGradientDescentOnQuadratic) {
   QuadraticObjective objective({0.1, 0.4});
   L2Ball ball(2);
@@ -220,18 +290,28 @@ TEST(SubgradientSolverTest, MatchesGradientDescentOnQuadratic) {
 TEST(FrankWolfeTest, LinearMinimizerBall) {
   L2Ball ball(2);
   Vec direction = {3.0, 4.0};
-  Vec s = LinearMinimizer(ball, direction);
+  Vec s = ball.LinearMinimizer(direction);
   EXPECT_NEAR(s[0], -0.6, 1e-12);
   EXPECT_NEAR(s[1], -0.8, 1e-12);
 }
 
 TEST(FrankWolfeTest, LinearMinimizerSimplexAndInterval) {
   Simplex simplex(3);
-  Vec s = LinearMinimizer(simplex, {0.5, -1.0, 2.0});
+  Vec s = simplex.LinearMinimizer({0.5, -1.0, 2.0});
   EXPECT_NEAR(s[1], 1.0, 1e-12);
   Interval iv(0.0, 1.0);
-  Vec t = LinearMinimizer(iv, {-2.0});
+  Vec t = iv.LinearMinimizer({-2.0});
   EXPECT_NEAR(t[0], 1.0, 1e-12);
+}
+
+TEST(FrankWolfeTest, LinearMinimizerBox) {
+  // Per coordinate: lo where the direction is >= 0 (zero included), hi
+  // where it is negative.
+  Box box({-1.0, 0.0, 2.0}, {1.0, 3.0, 5.0});
+  Vec s = box.LinearMinimizer({2.0, -0.5, 0.0});
+  EXPECT_EQ(s[0], -1.0);
+  EXPECT_EQ(s[1], 3.0);
+  EXPECT_EQ(s[2], 2.0);
 }
 
 TEST(FrankWolfeTest, SolvesQuadraticOnBall) {

@@ -26,10 +26,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iomanip>
 #include <limits>
 #include <map>
 #include <memory>
 #include <span>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,11 +72,20 @@ uint64_t Bits(double x) {
   return u;
 }
 
+// "0x" and the 16 hex digits of x's bit pattern. Formatted here because
+// AssertionResult::operator<< streams each operand into a fresh Message,
+// so a std::hex streamed there never reaches the next operand.
+std::string HexBits(double x) {
+  std::ostringstream out;
+  out << "0x" << std::hex << std::setfill('0') << std::setw(16) << Bits(x);
+  return out.str();
+}
+
 ::testing::AssertionResult BitsEq(double got, double want) {
   if (Bits(got) == Bits(want)) return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure()
-         << "bit mismatch: got " << got << " (0x" << std::hex << Bits(got)
-         << "), want " << want << " (0x" << Bits(want) << ")";
+         << "bit mismatch: got " << got << " (" << HexBits(got) << "), want "
+         << want << " (" << HexBits(want) << ")";
 }
 
 // ---------------------------------------------------------------------------
